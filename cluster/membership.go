@@ -21,7 +21,7 @@
 //     value, so the MaxRegister's writeMax absorbs duplicate and stale
 //     redeliveries without any cluster-level sequencing protocol.
 //   - Every share write and share fetch rides the existing audited
-//     register machinery — journaled through the striped WAL, swept by the
+//     register machinery — journaled through the node's WAL, swept by the
 //     audit pool, recovered after a crash — so the cluster's audit story
 //     reduces to merging n per-node audit reports (see Object.Audit).
 //

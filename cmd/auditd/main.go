@@ -7,8 +7,8 @@
 // layer"). Requests are executed shard-per-core: -shards dispatch lanes
 // routed by object-name hash, each a single goroutine owning its slice of
 // the store, with bounded queues that shed (CodeBusy) at the high
-// watermark; -wal-stripes gives the WAL the matching number of
-// independently committing stripe groups.
+// watermark. Every executor journals to the one WAL of -data-dir, so a
+// single group commit absorbs the mutations in flight on all of them.
 //
 // With -data-dir the daemon is durable (package auditreg/persist): every
 // mutation lands in a write-ahead log whose records are encrypted under a
@@ -69,7 +69,6 @@ func main() {
 	segmentBytes := flag.Int64("segment-bytes", 0, "WAL segment rotation size (0: persist default)")
 	walBatchDelay := flag.Duration("wal-batch-delay", 0, "adaptive group-commit window under -fsync always (0: persist default, negative: disabled)")
 	walBatchBytes := flag.Int("wal-batch-bytes", 0, "group-commit batch size cap in bytes (0: persist default)")
-	walStripes := flag.Int("wal-stripes", 0, "WAL stripe groups, each with its own writer and fsync pipeline (0: GOMAXPROCS; a non-empty -data-dir pins its own count)")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for /metrics (Prometheus text) and /debug/pprof/ (empty: disabled)")
 	nodeID := flag.Uint("node-id", 0, "cluster node identity asserted by dispersal clients at OPEN (0: standalone, assertions refused)")
 	corruptShares := flag.Bool("corrupt-shares", false, "BYZANTINE TEST HOOK: flip one bit of every served share on the wire (chaos-lab positive control; never in production)")
@@ -93,7 +92,6 @@ func main() {
 		SegmentBytes:  *segmentBytes,
 		WALBatchDelay: *walBatchDelay,
 		WALBatchBytes: *walBatchBytes,
-		WALStripes:    *walStripes,
 		NodeID:        uint32(*nodeID),
 		CorruptShares: *corruptShares,
 	})

@@ -31,7 +31,6 @@ type daemon struct {
 type daemonTuning struct {
 	walBatchDelay time.Duration
 	shards        int // shard executors (-shards)
-	walStripes    int // WAL stripe groups (-wal-stripes)
 	shardQueue    int // per-executor queue depth (-shard-queue)
 	// metricsAddr is the daemon's -metrics-addr; set internally by
 	// runDurableCell (not a tuning knob, so it stays out of suffix()). The
@@ -58,9 +57,6 @@ func (t daemonTuning) suffix() string {
 	if t.shards != 0 {
 		s += fmt.Sprintf("/shards=%d", t.shards)
 	}
-	if t.walStripes != 0 {
-		s += fmt.Sprintf("/stripes=%d", t.walStripes)
-	}
 	if t.shardQueue != 0 {
 		s += fmt.Sprintf("/queue=%d", t.shardQueue)
 	}
@@ -83,9 +79,6 @@ func startDaemon(bin, addr, dataDir string, seed uint64, readers int, tune daemo
 	}
 	if tune.shards != 0 {
 		args = append(args, "-shards", fmt.Sprint(tune.shards))
-	}
-	if tune.walStripes != 0 {
-		args = append(args, "-wal-stripes", fmt.Sprint(tune.walStripes))
 	}
 	if tune.shardQueue != 0 {
 		args = append(args, "-shard-queue", fmt.Sprint(tune.shardQueue))

@@ -117,7 +117,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	walBatchDelay := flag.Duration("wal-batch-delay", 0, "forwarded to spawned auditd daemons in -durable mode (0: daemon default)")
 	shards := flag.Int("shards", 0, "auditd shard executors, forwarded in -durable mode (0: daemon default, GOMAXPROCS)")
-	walStripes := flag.Int("wal-stripes", 0, "auditd WAL stripe groups, forwarded in -durable mode (0: daemon default, GOMAXPROCS)")
 	shardQueue := flag.Int("shard-queue", 0, "auditd per-executor queue depth, forwarded in -durable mode (0: daemon default)")
 	baseline := flag.String("baseline", "", "BENCH_*.json to gate against: fail on ops/s regression beyond -max-regress-pct")
 	maxRegress := flag.Float64("max-regress-pct", 20, "largest tolerated ops/s regression vs -baseline, in percent")
@@ -195,7 +194,6 @@ func main() {
 				res, err = runDurableCell(cfg, *auditdBin, *dataDir, *conns, daemonTuning{
 					walBatchDelay: *walBatchDelay,
 					shards:        *shards,
-					walStripes:    *walStripes,
 					shardQueue:    *shardQueue,
 				})
 			case *remote != "":

@@ -88,10 +88,7 @@ func (l *DiskLab) trial(b int, leaky bool) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, _, err := persist.Open(dir, persist.DeriveKey(key), st, persist.Options{
-		Policy:  persist.SyncNever,
-		Stripes: 1,
-	})
+	w, _, err := persist.Open(dir, persist.DeriveKey(key), st, persist.Options{Policy: persist.SyncNever})
 	if err != nil {
 		return nil, err
 	}

@@ -61,8 +61,8 @@ func (m *Map[T]) Shards() int { return len(m.buckets) }
 func (m *Map[T]) ShardOf(name string) int { return int(fnv1a(name) & m.mask) }
 
 // Hash exposes the map's name hash (64-bit FNV-1a) for layers that must
-// stripe by object name the same way — persist's WAL append buffers use it
-// so there is exactly one hash to keep in sync.
+// place object names the same way the map does, so there is exactly one
+// hash to keep in sync.
 func Hash(name string) uint64 { return fnv1a(name) }
 
 // HashBytes is Hash over a byte slice, for callers that hold an object name

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -42,33 +43,22 @@ func modelPairs(t *testing.T, dir string) map[string]pairSet {
 		t.Fatal(err)
 	}
 	m := newRecoverModel()
-	for sid := 0; sid <= ds.maxStripe; sid++ {
+	add := func(rec *Record, _ uint64) error { return m.add(rec) }
+	for _, id := range ds.live() {
+		ln := ds.lineages[id]
 		var cut uint64
-		if snaps := ds.snapshots[sid]; len(snaps) > 0 {
-			newest := snaps[len(snaps)-1]
-			cut = newest.meta
-			fr, err := readRecordFile(filepath.Join(dir, newest.name), snapMagic, testKey())
-			if err != nil {
+		if n := len(ln.snapshots); n > 0 {
+			cut = ln.snapshots[n-1].meta
+			if _, err := scanFile(filepath.Join(dir, ln.snapshots[n-1].name), snapMagic, testKey(), add); err != nil {
 				t.Fatal(err)
 			}
-			for i := range fr.recs {
-				if err := m.add(&fr.recs[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
-		for _, sf := range ds.segments[sid] {
+		for _, sf := range ln.segments {
 			if sf.meta < cut {
 				continue
 			}
-			fr, err := readRecordFile(filepath.Join(dir, sf.name), segMagic, testKey())
-			if err != nil {
+			if _, err := scanFile(filepath.Join(dir, sf.name), segMagic, testKey(), add); err != nil {
 				t.Fatal(err)
-			}
-			for i := range fr.recs {
-				if err := m.add(&fr.recs[i]); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 	}
@@ -83,7 +73,7 @@ func modelPairs(t *testing.T, dir string) map[string]pairSet {
 	return out
 }
 
-func copyDir(t *testing.T, src, dst string) {
+func copyDir(t testing.TB, src, dst string) {
 	t.Helper()
 	entries, err := os.ReadDir(src)
 	if err != nil {
@@ -153,9 +143,9 @@ func TestCrashInjection(t *testing.T) {
 
 		truncating := trial%2 == 0
 		if truncating {
-			// Truncate a random stripe's active (last) segment at a random
-			// offset: the torn-tail case recovery must absorb.
-			segs := ds.segments[rng.Intn(ds.maxStripe+1)]
+			// Truncate the active (last) segment at a random offset: the
+			// torn-tail case recovery must absorb.
+			segs := ds.lineages[0].segments
 			seg := filepath.Join(dir, segs[len(segs)-1].name)
 			info, err := os.Stat(seg)
 			if err != nil {
@@ -167,17 +157,7 @@ func TestCrashInjection(t *testing.T) {
 			}
 		} else {
 			// Flip a random byte in a random record file.
-			var files []string
-			for _, sfs := range ds.segments {
-				for _, sf := range sfs {
-					files = append(files, sf.name)
-				}
-			}
-			for _, sfs := range ds.snapshots {
-				for _, sf := range sfs {
-					files = append(files, sf.name)
-				}
-			}
+			files := ds.lineages[0].names(math.MaxUint64)
 			path := filepath.Join(dir, files[rng.Intn(len(files))])
 			info, err := os.Stat(path)
 			if err != nil {
@@ -218,79 +198,119 @@ func TestCrashInjection(t *testing.T) {
 	}
 }
 
-// TestStripedRecoveryMatchesSingleStripe is the striped-recovery
-// crash-injection check: one deterministic op log is driven into a 4-stripe
-// WAL and a 1-stripe WAL, both are killed -9 with commits potentially
-// mid-fsync, and the per-object seq-ordered replays must agree exactly —
-// fanning the log out across stripes must not change what recovery
-// reconstructs. Under SyncAlways every acknowledged mutation is durable in
-// both logs, so the recovered audits and values are fully determined by the
-// op log, not by how the stripes happened to batch.
-func TestStripedRecoveryMatchesSingleStripe(t *testing.T) {
-	const stripes = 4
-	dirS, dir1 := t.TempDir(), t.TempDir()
+// TestLegacyDirectoriesRecover recovers data directories in the layouts
+// this package no longer writes, both checked in under testdata and written
+// by the striped WAL: a 4-stripe directory ("wal-sNN-%016x.seg"), and a
+// 1-stripe one whose stripe tags were renamed away to the names the layout
+// before striping used ("wal-%016x.seg"). Each was produced by a killed
+// process (SyncAlways, so every acknowledged op is durable) that ran
+// drive(11, 9, 400), a Snapshot, and drive(12, 9, 200); an in-memory store
+// driven by the same seeds is the oracle for values and audits.
+//
+// Recovery must match the oracle exactly. Then Snapshot folds the
+// directory into one lineage, and a crash (abandon) after each step of that
+// fold — the publish, then every deletion — must still recover exactly: a
+// leftover legacy file is covered by the published snapshot and must never
+// be replayed twice (a duplicate open record would halt recovery). After
+// the fold and a reopen, the directory holds one lineage.
+func TestLegacyDirectoriesRecover(t *testing.T) {
+	ref := newTestStore(t)
+	names := drive(t, ref, 11, 9, 400)
+	drive(t, ref, 12, 9, 200)
+	want := auditAll(t, ref, names)
+	vals := valuesOf(t, ref, names)
 
-	wS, resS, stS := openWAL(t, dirS, Options{Stripes: stripes, SegmentBytes: 8 << 10})
-	if resS.Stripes != stripes {
-		t.Fatalf("fresh dir opened with %d stripes, want %d", resS.Stripes, stripes)
+	for _, fx := range []struct {
+		dir      string
+		lineages int
+	}{
+		{"legacy-4stripe", 4},
+		{"legacy-prestripe", 1},
+	} {
+		t.Run(fx.dir, func(t *testing.T) {
+			src := filepath.Join("testdata", fx.dir)
+
+			// Count the fold's steps on a clean run.
+			dir := filepath.Join(t.TempDir(), "count")
+			copyDir(t, src, dir)
+			w, res, st := openWAL(t, dir, Options{})
+			if res.Stripes != fx.lineages || w.Stats().Stripes != fx.lineages {
+				t.Fatalf("recovered %d lineages (stats %d), want %d", res.Stripes, w.Stats().Stripes, fx.lineages)
+			}
+			requireSameAudits(t, want, st, names)
+			steps := 0
+			w.afterFoldStep = func() error { steps++; return nil }
+			if _, err := w.Snapshot(); err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			if got := w.Stats().Stripes; got != 1 {
+				t.Fatalf("after the fold Stats reports %d lineages, want 1", got)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if steps < 2 {
+				t.Fatalf("fold took %d steps; want a publish and deletions", steps)
+			}
+			requireOneLineage(t, dir)
+			w, res, st = openWAL(t, dir, Options{})
+			if res.Stripes != 1 {
+				t.Fatalf("folded directory recovered %d lineages, want 1", res.Stripes)
+			}
+			requireSameAudits(t, want, st, names)
+			requireSameValues(t, vals, st, names)
+			w.Close()
+
+			for crashAt := 1; crashAt <= steps; crashAt++ {
+				dir := filepath.Join(t.TempDir(), fmt.Sprintf("crash-%02d", crashAt))
+				copyDir(t, src, dir)
+				w, _, _ := openWAL(t, dir, Options{})
+				n := 0
+				w.afterFoldStep = func() error {
+					if n++; n == crashAt {
+						return fmt.Errorf("crash after fold step %d", n)
+					}
+					return nil
+				}
+				if _, err := w.Snapshot(); err == nil {
+					t.Fatalf("crash at step %d: Snapshot completed", crashAt)
+				}
+				w.abandon()
+
+				// The published snapshot covers every leftover: recovery
+				// replays it once and finishes the cleanup.
+				w, res, st := openWAL(t, dir, Options{})
+				if res.Stripes != 1 {
+					t.Fatalf("crash at step %d: recovered %d lineages, want 1", crashAt, res.Stripes)
+				}
+				requireSameAudits(t, want, st, names)
+				requireOneLineage(t, dir)
+				if _, err := w.Snapshot(); err != nil {
+					t.Fatalf("crash at step %d: Snapshot after recovery: %v", crashAt, err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				w, _, st = openWAL(t, dir, Options{})
+				requireSameAudits(t, want, st, names)
+				requireSameValues(t, vals, st, names)
+				w.Close()
+			}
+		})
 	}
-	names := drive(t, stS, 11, 9, 1200)
-	valsS := valuesOf(t, stS, names)
-	wantS := auditAll(t, stS, names)
-	wS.abandon() // kill -9; a stripe's fsync may be in flight
+}
 
-	// The records must genuinely interleave across stripes for the merge to
-	// be exercised: at least 3 of the 4 stripes hold records.
-	occupied := 0
-	dsS, err := readDir(dirS)
+// requireOneLineage asserts every log file in dir belongs to the one log
+// this version writes: no stripe tags left.
+func requireOneLineage(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for sid := 0; sid <= dsS.maxStripe; sid++ {
-		for _, sf := range dsS.segments[sid] {
-			fr, err := readRecordFile(filepath.Join(dirS, sf.name), segMagic, testKey())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(fr.recs) > 0 {
-				occupied++
-				break
-			}
+	for _, e := range entries {
+		if f, isSeg, isSnap := parseFileName(e.Name()); (isSeg || isSnap) && f.tagged {
+			t.Errorf("%s survived the fold", e.Name())
 		}
 	}
-	if occupied < 3 {
-		t.Fatalf("op log landed in only %d stripes; need >= 3 for a meaningful merge", occupied)
-	}
-
-	w1, _, st1 := openWAL(t, dir1, Options{Stripes: 1, SegmentBytes: 8 << 10})
-	drive(t, st1, 11, 9, 1200) // same seed: the identical op log
-	// valuesOf reads are journaled too; mirror them so the logs stay equal.
-	vals1 := valuesOf(t, st1, names)
-	for name, v := range valsS {
-		if vals1[name] != v {
-			t.Fatalf("op logs diverged before the crash: %s = %d vs %d", name, vals1[name], v)
-		}
-	}
-	w1.abandon()
-
-	// Recover both. The striped dir is opened with a conflicting Stripes
-	// option: the on-disk pin must win, or a reconfigured restart would
-	// split objects' histories across stripes.
-	wSR, resSR, stSR := openWAL(t, dirS, Options{Stripes: 1})
-	defer wSR.Close()
-	if resSR.Stripes != stripes {
-		t.Fatalf("recovery ran %d stripes despite %d on disk", resSR.Stripes, stripes)
-	}
-	w1R, _, st1R := openWAL(t, dir1, Options{})
-	defer w1R.Close()
-
-	requireSameAudits(t, wantS, stSR, names)
-	requireSameValues(t, valsS, stSR, names)
-	got1 := auditAll(t, st1R, names)
-	for _, name := range names {
-		if !got1[name].Same(wantS[name]) {
-			t.Errorf("single-stripe replay of %s differs from the striped op log's audits", name)
-		}
-	}
-	requireSameValues(t, valsS, st1R, names)
 }

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,14 +19,15 @@ type RecoverResult struct {
 	Records int
 	// Segments is the number of WAL segments scanned.
 	Segments int
-	// Stripes is the stripe-group count the directory runs at (pinned by
-	// the files on disk once the directory is non-empty).
+	// Stripes is the number of log lineages recovery replayed: 1 for a
+	// directory this version wrote, more for a directory the striped WAL
+	// layout wrote whose stripes no Snapshot has folded into one log yet.
 	Stripes int
 	// SnapshotCut is the highest cut LSN among the snapshots that seeded
 	// recovery, 0 when the directory had none.
 	SnapshotCut uint64
 	// TornBytes is the total size of the torn tails discarded from the
-	// stripes' active segments (records never acknowledged as durable).
+	// lineages' last segments (records never acknowledged as durable).
 	TornBytes int64
 	// AuditedNames lists the objects whose audit cursors had published
 	// reports before the crash; the server re-audits them on boot.
@@ -34,29 +36,22 @@ type RecoverResult struct {
 	UnknownFiles []string
 }
 
-// stripeBoot is what recovery hands each stripe group before its writer
-// starts: where its LSN space continues, and its crashed active segment (if
-// any) awaiting a rewrite.
-type stripeBoot struct {
-	nextLSN    uint64
-	activeFR   *fileRecords
-	activeBase uint64
-	activeName string
-}
-
 // Open recovers the data directory into st — which must be fresh and
 // journal-less — and returns a running WAL ready to be attached with
 // st.SetJournal. A directory that cannot be replayed exactly (corrupt
 // snapshot, corrupt sealed segment, impossible record structure) fails with
 // an explicit error; the only damage Open repairs silently is a torn tail
-// at the end of each stripe's active segment, whose byte count it reports.
+// at the end of a lineage's last segment, whose byte count it reports.
+//
+// Recovery streams: each file is decoded one frame at a time straight into
+// the replay model, so its memory is the model's — the objects' surviving
+// histories — not the files'. Directories the striped WAL layout wrote stay
+// readable: every lineage is replayed into the same model, and the next
+// Snapshot folds them into the one log (see walFile).
 //
 // The directory is created if absent and held under an advisory lock for
 // the WAL's lifetime (released by Close, or by the operating system on
-// process death). A non-empty directory pins its stripe count (see
-// Options.Stripes): recovery infers it from the files on disk, so the
-// name→stripe mapping survives restarts under a different configuration and
-// every stripe's files always hold whole per-object histories.
+// process death).
 func Open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options) (*WAL, *RecoverResult, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o700); err != nil {
@@ -79,106 +74,29 @@ func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, l
 	if err != nil {
 		return nil, nil, err
 	}
-	if ds.maxStripe >= 0 {
-		// Pin the stripe count to the files on disk. Every run creates an
-		// active segment per stripe at startup, so the highest stripe id
-		// present reconstructs the previous run's count exactly.
-		pinned := 1
-		for pinned <= ds.maxStripe {
-			pinned <<= 1
-		}
-		opts.Stripes = pinned
-	}
-	res := &RecoverResult{UnknownFiles: ds.others, Stripes: opts.Stripes}
+	live := ds.live()
+	res := &RecoverResult{UnknownFiles: ds.others, Stripes: len(live)}
 	model := newRecoverModel()
-	var stale []string // fully covered files to delete after replay
-	boots := make([]stripeBoot, opts.Stripes)
-
-	// Scan each stripe: seed from its newest snapshot — which must be
-	// complete: it was published by an atomic rename and sealed, so
-	// anything less is corruption, and the segments it replaced are gone —
-	// then its segment tail. Every record lands in ONE shared model: the
-	// model is order-insensitive per object, and one object's records all
-	// live in one stripe, so the cross-stripe merge is exactly the
-	// single-log replay re-partitioned.
-	for sid := range boots {
-		b := &boots[sid]
-		b.nextLSN = 1
-		var cut uint64
-		if snaps := ds.snapshots[sid]; len(snaps) > 0 {
-			newest := snaps[len(snaps)-1]
-			cut = newest.meta
-			path := filepath.Join(dir, newest.name)
-			fr, err := readRecordFile(path, snapMagic, key)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !fr.sealed || fr.tornBytes > 0 {
-				return nil, nil, fmt.Errorf("persist: snapshot %s is not sealed", path)
-			}
-			for i := range fr.recs {
-				if err := model.add(&fr.recs[i]); err != nil {
-					return nil, nil, fmt.Errorf("%s: %w", path, err)
-				}
-			}
-			if cut > res.SnapshotCut {
-				res.SnapshotCut = cut
-			}
-			if cut > b.nextLSN {
-				b.nextLSN = cut
-			}
-			for _, old := range snaps[:len(snaps)-1] {
-				stale = append(stale, old.name)
-			}
+	stale := ds.leftovers() // fully covered files to delete after replay
+	var crashed []*walFile  // last segments a killed process left unsealed
+	nextLSN := uint64(1)
+	// Every lineage lands in ONE model: the model is order-insensitive per
+	// object, so a striped directory replays exactly as the single log it
+	// was partitioned from.
+	for _, id := range live {
+		ls, err := scanLineage(dir, key, &ds.lineages[id], model, math.MaxUint64, true)
+		if err != nil {
+			return nil, nil, err
 		}
-
-		// The stripe's segment tail. Segments below the cut are fully
-		// covered by the snapshot (a crash interrupted their deletion);
-		// every tail segment but the last must be sealed; the last may end
-		// in a torn tail.
-		var tail []walFile
-		for _, sf := range ds.segments[sid] {
-			if sf.meta < cut {
-				stale = append(stale, sf.name)
-				continue
-			}
-			tail = append(tail, sf)
+		if id == 0 {
+			nextLSN = ls.nextLSN
 		}
-		for i, sf := range tail {
-			path := filepath.Join(dir, sf.name)
-			fr, err := readRecordFile(path, segMagic, key)
-			if err != nil {
-				return nil, nil, err
-			}
-			last := i == len(tail)-1
-			if !last && (!fr.sealed || fr.tornBytes > 0) {
-				return nil, nil, fmt.Errorf("persist: non-final segment %s is not sealed", path)
-			}
-			res.Segments++
-			if sf.meta > b.nextLSN {
-				b.nextLSN = sf.meta
-			}
-			for k := range fr.recs {
-				if err := model.add(&fr.recs[k]); err != nil {
-					return nil, nil, fmt.Errorf("%s: %w", path, err)
-				}
-				if fr.lsns[k] >= b.nextLSN {
-					b.nextLSN = fr.lsns[k] + 1
-				}
-			}
-			if fr.sealed {
-				// The seal record consumed an LSN too.
-				b.nextLSN++
-			}
-			if last {
-				res.TornBytes += fr.tornBytes
-				if !fr.sealed {
-					frCopy := fr
-					b.activeFR = &frCopy
-					b.activeBase = sf.meta
-					b.activeName = sf.name
-				}
-			}
+		res.Segments += ls.segments
+		res.TornBytes += ls.torn
+		res.SnapshotCut = max(res.SnapshotCut, ls.cut)
+		stale = append(stale, ls.stale...)
+		if ls.crashed != nil {
+			crashed = append(crashed, ls.crashed)
 		}
 	}
 	res.Records = model.records
@@ -211,101 +129,73 @@ func open(dir string, key auditreg.Key, st *store.Store[uint64], opts Options, l
 		}
 	}
 
-	w := &WAL{
-		dir:     dir,
-		key:     key,
-		opts:    opts,
-		lock:    lock,
-		gmask:   uint64(opts.Stripes - 1),
-		stopc:   make(chan struct{}),
-		killc:   make(chan struct{}),
-		seqBase: seqBase,
-	}
-	w.groups = make([]*walStripe, opts.Stripes)
-	fail := func(err error) (*WAL, *RecoverResult, error) {
-		for _, s := range w.groups {
-			if s != nil && s.active != nil {
-				s.active.Close()
-			}
+	// A crashed run's active segment is never appended to again: its torn
+	// tail may hold a partial frame whose keystream prefix already reached
+	// an attacker's disk image, so reusing its (nonce, lsn) stream would be
+	// a two-time pad. Rewrite its valid records into a sealed replacement
+	// under a fresh nonce (atomic rename), or drop the file entirely when it
+	// holds none.
+	for _, sf := range crashed {
+		if err := resealCrashed(dir, key, sf); err != nil {
+			return nil, nil, err
 		}
+	}
+
+	w := newWAL(dir, key, opts, lock, seqBase)
+	w.nextLSN = nextLSN
+	w.lineages.Store(int64(len(live)))
+	if err := w.openSegment(nextLSN); err != nil {
 		return nil, nil, err
 	}
-	for sid := range w.groups {
-		s := newStripe(w, sid)
-		b := &boots[sid]
-		s.nextLSN = b.nextLSN
-		if b.activeFR != nil {
-			// The crashed run's active segment is never appended to again:
-			// its torn tail may hold a partial frame whose keystream prefix
-			// already reached an attacker's disk image, so reusing its
-			// (nonce, lsn) stream would be a two-time pad. Rewrite the valid
-			// records into a sealed replacement under a fresh nonce (atomic
-			// rename), or drop the file entirely when it holds none, and
-			// start a fresh segment.
-			path := filepath.Join(dir, b.activeName)
-			if len(b.activeFR.recs) > 0 {
-				if err := writeSealedFile(dir, b.activeName, segMagic, b.activeBase, key, b.activeFR.recs, b.activeFR.lsns); err != nil {
-					return fail(err)
-				}
-			} else {
-				if err := os.Remove(path); err != nil {
-					return fail(err)
-				}
-				if err := syncDir(dir); err != nil {
-					return fail(err)
-				}
-			}
-		}
-		if err := s.openSegment(s.nextLSN); err != nil {
-			return fail(err)
-		}
-		w.groups[sid] = s
-	}
-	for _, s := range w.groups {
-		s.start()
-	}
+	w.start()
 	return w, res, nil
 }
 
-// Snapshot compacts the log, one stripe at a time: flush and seal the
-// stripe's active segment (the stripe's cut), scan everything sealed in
-// that stripe into the minimal audit-equivalent record sequence, publish it
-// as a snapshot file via atomic rename, and delete the covered segments and
-// older snapshots. The per-stripe compaction is sound because one object's
-// records all live in one stripe, so each scan sees whole per-object
-// histories. Traffic keeps flowing while the scans run; only each stripe's
-// flush-and-rotate moment synchronizes with its writer. It returns the
-// highest cut LSN among the stripes.
+// resealCrashed replaces an unsealed segment with a sealed copy of its
+// valid records under a fresh nonce, streaming them across, or removes it
+// when it holds none.
+func resealCrashed(dir string, key auditreg.Key, sf *walFile) error {
+	path := filepath.Join(dir, sf.name)
+	sw, err := createSealed(dir, sf.name, segMagic, sf.meta, key)
+	if err != nil {
+		return err
+	}
+	fs, err := scanFile(path, segMagic, key, sw.add)
+	if err != nil {
+		sw.abort()
+		return err
+	}
+	if fs.records > 0 {
+		return sw.publish()
+	}
+	sw.abort()
+	if err := os.Remove(path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// Snapshot compacts the log: flush and seal the active segment (the cut),
+// scan everything sealed into the minimal audit-equivalent record sequence,
+// publish it as a snapshot file via atomic rename, and delete the covered
+// segments and older snapshots. The scan sees whole per-object histories
+// because the log is one lineage; in a directory the striped layout wrote,
+// it also takes in every other lineage's files, so publishing the snapshot
+// folds the directory into one log (a crash before those files are deleted
+// leaves them covered, never replayed twice; see dirState.folded). Traffic
+// keeps flowing while the scan runs; only the flush-and-rotate moment
+// synchronizes with the writer. It returns the cut LSN.
 func (w *WAL) Snapshot() (uint64, error) {
 	w.snapMu.Lock()
 	defer w.snapMu.Unlock()
 	if err := w.err(); err != nil {
 		return 0, err
 	}
-	var maxCut uint64
-	for _, s := range w.groups {
-		cut, err := s.snapshot()
-		if err != nil {
-			return 0, err
-		}
-		if cut > maxCut {
-			maxCut = cut
-		}
-	}
-	w.snaps.Add(1)
-	return maxCut, nil
-}
-
-// snapshot compacts one stripe; see WAL.Snapshot.
-func (s *walStripe) snapshot() (uint64, error) {
 	reply := make(chan rotateReply, 1)
 	select {
-	case s.rotatec <- reply:
-	case <-s.done:
-		if e := s.failed.Load(); e != nil {
-			return 0, *e
-		}
-		return 0, fmt.Errorf("persist: wal is closed")
+	case w.rotatec <- reply:
+	case <-w.done: // only Close and abandon stop the writer, and both mark the log closed
+		return 0, w.err()
 	}
 	rr := <-reply
 	if rr.err != nil {
@@ -313,81 +203,70 @@ func (s *walStripe) snapshot() (uint64, error) {
 	}
 	cut := rr.cutLSN
 
-	ds, err := readDir(s.dir)
+	ds, err := readDir(w.dir)
 	if err != nil {
 		return 0, err
 	}
+	for _, sf := range ds.lineages[0].snapshots {
+		if sf.meta >= cut {
+			return 0, fmt.Errorf("persist: snapshot %s already covers cut %d", sf.name, cut)
+		}
+	}
 	model := newRecoverModel()
-	var prevCut uint64
-	var prevName string
-	var covered []string
-	for _, sf := range ds.snapshots[s.id] {
-		if sf.meta >= cut {
-			return 0, fmt.Errorf("persist: stripe %d snapshot %d already covers cut %d", s.id, sf.meta, cut)
+	covered := ds.leftovers()
+	for _, id := range ds.live() {
+		below := uint64(math.MaxUint64)
+		if id == 0 {
+			below = cut // the fresh active segment stays
 		}
-		prevCut, prevName = sf.meta, sf.name
-	}
-	if prevCut > 0 {
-		path := filepath.Join(s.dir, prevName)
-		fr, err := readRecordFile(path, snapMagic, s.key)
-		if err != nil {
+		ln := &ds.lineages[id]
+		if _, err := scanLineage(w.dir, w.key, ln, model, below, false); err != nil {
 			return 0, err
 		}
-		if !fr.sealed || fr.tornBytes > 0 {
-			return 0, fmt.Errorf("persist: snapshot %s is not sealed", path)
-		}
-		for i := range fr.recs {
-			if err := model.add(&fr.recs[i]); err != nil {
-				return 0, fmt.Errorf("%s: %w", path, err)
-			}
-		}
-	}
-	for _, sf := range ds.snapshots[s.id] {
-		if sf.meta < cut {
-			covered = append(covered, sf.name)
-		}
-	}
-	for _, sf := range ds.segments[s.id] {
-		if sf.meta >= cut {
-			continue
-		}
-		covered = append(covered, sf.name)
-		if sf.meta < prevCut {
-			continue // already inside the previous snapshot
-		}
-		path := filepath.Join(s.dir, sf.name)
-		fr, err := readRecordFile(path, segMagic, s.key)
-		if err != nil {
-			return 0, err
-		}
-		if !fr.sealed || fr.tornBytes > 0 {
-			return 0, fmt.Errorf("persist: segment %s is not sealed at snapshot time", path)
-		}
-		for i := range fr.recs {
-			if err := model.add(&fr.recs[i]); err != nil {
-				return 0, fmt.Errorf("%s: %w", path, err)
-			}
-		}
+		covered = append(covered, ln.names(below)...)
 	}
 
 	recs, err := model.compact()
 	if err != nil {
 		return 0, err
 	}
-	lsns := make([]uint64, len(recs))
-	for i := range lsns {
-		lsns[i] = uint64(i)
-	}
-	if err := writeSealedFile(s.dir, snapshotName(s.id, cut), snapMagic, cut, s.key, recs, lsns); err != nil {
+	sw, err := createSealed(w.dir, snapshotName(cut), snapMagic, cut, w.key)
+	if err != nil {
 		return 0, err
 	}
-	for _, name := range covered {
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
+	for i := range recs {
+		if err := sw.add(&recs[i], uint64(i)); err != nil {
+			sw.abort()
 			return 0, err
 		}
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := sw.publish(); err != nil {
 		return 0, err
 	}
+	w.lineages.Store(1)
+	if err := w.foldStep(); err != nil {
+		return 0, err
+	}
+	for _, name := range covered {
+		if err := os.Remove(filepath.Join(w.dir, name)); err != nil && !os.IsNotExist(err) {
+			return 0, err
+		}
+		if err := w.foldStep(); err != nil {
+			return 0, err
+		}
+	}
+	if err := syncDir(w.dir); err != nil {
+		return 0, err
+	}
+	w.snaps.Add(1)
 	return cut, nil
+}
+
+// foldStep runs the test hook that interrupts Snapshot after the publish
+// and after each deletion, as a crash would.
+func (w *WAL) foldStep() error {
+	if w.afterFoldStep == nil {
+		return nil
+	}
+	return w.afterFoldStep()
 }

@@ -20,31 +20,27 @@
 //
 // # Write path
 //
-// The WAL implements store.Journal[uint64]: the log is split into
-// Options.Stripes independently committing stripe groups, and an object's
-// mutations always land in the stripe its name hashes to (the same hash the
-// store's shard map uses), so per-object record order survives the fan-out.
-// Each stripe owns its segment files and runs its own writer goroutine,
-// which drains the stripe's append buffer, assigns that stripe's log
-// sequence numbers, encrypts the whole batch against the active segment's
-// block-derived pad stream, appends, and fsyncs per policy — SyncAlways
-// (adaptive group commit with a pipelined fsync: mutators block until their
-// batch is stable, and the writer holds the commit window open up to
-// Options.BatchDelay while more blocked mutators are in flight on the same
-// stripe, so one fsync absorbs them all; announce and audit records ride
-// along without ever paying for, or causing, a sync), SyncInterval (bounded
-// data loss window), or SyncNever (page cache only). The hot path is never
-// serialized through a single lock or a single disk queue: stripes contend
-// only within themselves, commits on distinct stripes fsync concurrently,
-// and only SyncAlways mutators wait. Stats.SyncHist — surfaced through the
-// server's STATS verb, summed across stripes — histograms records-per-fsync,
-// making the batching observable rather than inferred.
+// The WAL implements store.Journal[uint64] as one log: one append buffer,
+// one writer goroutine, one chain of segment files in one LSN space. The
+// writer drains the buffer, assigns log sequence numbers, encrypts the whole
+// batch against the active segment's block-derived pad stream, appends, and
+// fsyncs per policy — SyncAlways (adaptive group commit with a pipelined
+// fsync: mutators block until their batch is stable, and the writer holds
+// the commit window open up to Options.BatchDelay while more blocked
+// mutators are in flight, so one fsync absorbs them all; announce and audit
+// records ride along without ever paying for, or causing, a sync),
+// SyncInterval (bounded data loss window), or SyncNever (page cache only).
+// Only SyncAlways mutators wait, and every one of them in flight — from
+// every shard executor of the server — joins the same group commit.
+// Stats.SyncHist — surfaced through the server's STATS verb — histograms
+// records-per-fsync, making the batching observable rather than inferred.
 //
 // # Recovery and snapshots
 //
 // Recovery replays a data directory into a fresh store: the newest snapshot
 // first, then every sealed segment, then the torn tail of the active
-// segment. Replay is ordered per object by the sequence numbers recorded at
+// segment, each file decoded one frame at a time straight into the replay
+// model. Replay is ordered per object by the sequence numbers recorded at
 // journal time (concurrent writers may journal out of install order), and a
 // fetch record can stand in for the write it observed when that write's own
 // record missed the final group commit — an acknowledged effective read is
@@ -57,11 +53,14 @@
 // (one write per audited value, one fetch per audited pair, the final
 // value), writes it as a snapshot file via atomic rename, and deletes the
 // covered segments and older snapshots. auditd triggers it on SIGHUP.
+//
+// Directories written by the earlier striped layout — one lineage of files
+// per stripe — still recover: every lineage replays into the same model,
+// and the next Snapshot folds them into the one log.
 package persist
 
 import (
 	"crypto/sha256"
-	"runtime"
 	"time"
 
 	"auditreg"
@@ -115,21 +114,13 @@ func ParsePolicy(s string) (Policy, bool) {
 	}
 }
 
-// Defaults for Options fields left zero. Stripes defaults to
-// runtime.GOMAXPROCS(0) — one independently committing WAL stripe per
-// executor the server runs — rounded up to a power of two and capped at
-// MaxStripes.
+// Defaults for Options fields left zero.
 const (
 	DefaultInterval     = 50 * time.Millisecond
 	DefaultSegmentBytes = 64 << 20
 	DefaultBatchDelay   = 500 * time.Microsecond
 	DefaultBatchBytes   = 1 << 20
 )
-
-// MaxStripes bounds the stripe-group count: the stripe id is rendered as two
-// hex digits in file names, and 256 writer goroutines is already far past
-// any sensible configuration.
-const MaxStripes = 256
 
 // Options configures a WAL. The zero value of every field selects the
 // documented default (policy SyncAlways).
@@ -142,22 +133,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size
 	// (default DefaultSegmentBytes).
 	SegmentBytes int64
-	// Stripes is the number of WAL stripe groups (default
-	// runtime.GOMAXPROCS(0), rounded up to a power of two, capped at
-	// MaxStripes). Each stripe owns its segment files, its writer
-	// goroutine, its adaptive group-commit window, and its pipelined
-	// fsync, so commits on distinct stripes proceed — and sync — in
-	// parallel. One object's records always land in one stripe (chosen by
-	// the same name hash the store's shard map uses), preserving their
-	// order; per-stripe snapshots therefore always see whole per-object
-	// histories.
-	//
-	// A non-empty data directory pins its stripe count: Open infers it
-	// from the files on disk and ignores this field, so the name→stripe
-	// mapping — and with it the whole-history property — survives restarts
-	// under a different configuration. To restripe, compact into a fresh
-	// directory.
-	Stripes int
 	// BatchDelay bounds the adaptive group-commit window under SyncAlways:
 	// when more blocking mutators are in flight than the drained batch
 	// already holds, the writer waits up to this long for their records
@@ -171,9 +146,7 @@ type Options struct {
 	BatchBytes int
 	// SyncLatency, when non-nil, receives one observation per fdatasync on
 	// segment data — the wall-clock cost of making a group commit stable.
-	// Each stripe observes on its own histogram stripe (by stripe id), so
-	// the hook adds no contention to the sync path. Aggregate-only, like
-	// all telemetry (see internal/telem).
+	// Aggregate-only, like all telemetry (see internal/telem).
 	SyncLatency *telem.Hist
 }
 
@@ -184,17 +157,6 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
 	}
-	if o.Stripes <= 0 {
-		o.Stripes = runtime.GOMAXPROCS(0)
-	}
-	if o.Stripes > MaxStripes {
-		o.Stripes = MaxStripes
-	}
-	n := 1
-	for n < o.Stripes {
-		n <<= 1
-	}
-	o.Stripes = n
 	if o.BatchDelay == 0 {
 		o.BatchDelay = DefaultBatchDelay
 	}

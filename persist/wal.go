@@ -6,13 +6,13 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"auditreg"
-	"auditreg/internal/shard"
 	"auditreg/internal/telem"
 	"auditreg/store"
 )
@@ -22,9 +22,9 @@ import (
 // the directory.
 const lockFileName = "wal.lock"
 
-// pending is one record awaiting a stripe's group-commit writer; done is
-// non-nil when the mutator blocks for durability (SyncAlways opens, writes,
-// and fetches).
+// pending is one record awaiting the group-commit writer; done is non-nil
+// when the mutator blocks for durability (SyncAlways opens, writes, and
+// fetches).
 type pending struct {
 	rec  Record
 	done chan error
@@ -59,11 +59,10 @@ func syncBucket(n int) int {
 	return b
 }
 
-// WAL is the write-ahead log over one data directory: Options.Stripes
-// independently committing stripe groups, each with its own segment files,
-// writer goroutine, adaptive commit window, and pipelined fsync. An object's
-// records always land in the stripe its name hashes to, so per-object order
-// — the property recovery and snapshots rely on — survives the fan-out.
+// WAL is the write-ahead log over one data directory: one append buffer,
+// one writer goroutine (run) with its adaptive commit window, one sync
+// goroutine (syncLoop) carrying the pipelined fsync, and one chain of
+// segment files and snapshots in one LSN space.
 //
 // It implements store.Journal[uint64]: attach it with store.Store.SetJournal
 // (after recovery) or store.WithJournal (fresh store). Construct with Open;
@@ -80,40 +79,10 @@ type WAL struct {
 	// on-disk seqs strictly increasing across process generations —
 	// otherwise a later recovery would see two different writes claiming
 	// one seq and halt on perfectly healthy data. Built once before the
-	// writers start; read-only afterwards.
+	// writer starts; read-only afterwards.
 	seqBase map[string]uint64
 
-	lock   *os.File
-	groups []*walStripe
-	gmask  uint64
-
-	stopc  chan struct{} // closed by Close: broadcast to every stripe
-	killc  chan struct{} // closed by abandon: crash simulation
-	closed atomic.Bool
-
-	// failed is the sticky failure, shared across stripes: one stripe
-	// losing its disk poisons the whole log, exactly as the single-writer
-	// WAL did — a partially durable log must not keep acknowledging.
-	failed atomic.Pointer[error]
-
-	snapMu sync.Mutex // serializes Snapshot
-	snaps  atomic.Uint64
-}
-
-// walStripe is one stripe group: an append buffer, a writer goroutine
-// (run), a sync goroutine (syncLoop), and the stripe's own segment files and
-// LSN space.
-type walStripe struct {
-	id   int
-	dir  string
-	key  auditreg.Key
-	opts Options
-
-	// Shared WAL state (see WAL): sticky failure, close/crash broadcast.
-	failed *atomic.Pointer[error]
-	closed *atomic.Bool
-	stopc  chan struct{}
-	killc  chan struct{}
+	lock *os.File
 
 	// The append buffer.
 	mu   sync.Mutex
@@ -122,39 +91,44 @@ type walStripe struct {
 	notify   chan struct{}
 	rotatec  chan chan rotateReply
 	flushc   chan chan error
+	stopc    chan struct{} // closed by Close
+	killc    chan struct{} // closed by abandon: crash simulation
 	done     chan struct{}
 	syncc    chan syncJob // writer → sync goroutine (unbuffered; one job in flight)
 	syncack  chan syncAck // sync goroutine → writer (buffered; never blocks the syncer)
 	syncdone chan struct{}
+	closed   atomic.Bool
 
-	// waiters counts blocking mutators whose records this stripe's writer
-	// has not yet committed (incremented on entry to append, decremented
-	// when the record completes). The adaptive commit window compares it
-	// against the blocking records already drained: while more waiters are
-	// known to be in flight on this stripe, holding the fsync open a little
-	// longer absorbs them into the same batch.
+	// failed is the sticky failure: a log that lost its disk must not keep
+	// acknowledging.
+	failed atomic.Pointer[error]
+
+	// waiters counts blocking mutators whose records the writer has not yet
+	// committed (incremented on entry to append, decremented when the
+	// record completes). The adaptive commit window compares it against the
+	// blocking records already drained: while more waiters are known to be
+	// in flight, holding the fsync open a little longer absorbs them into
+	// the same batch.
 	waiters atomic.Int64
 
 	// Writer-goroutine state; untouched by other goroutines.
-	active      *os.File
-	activeNonce [fileNonceLen]byte
-	activePads  padStream
-	activeBase  uint64
-	activeSize  int64
-	nextLSN     uint64
-	lastSync    time.Time
-	dirty       bool      // appended records not yet covered by an issued fsync
-	cur         []pending // batch buffer for the next drain
-	spare       []pending // second batch buffer (ping-pong with the in-flight job)
-	encBuf      []byte    // reused frame encode buffer
-	sinceSync   int       // records appended since the last issued fsync
-	blockSync   int       // blocking records appended since the last issued fsync
-	inFlight    bool      // a syncJob is with the sync goroutine
+	active     *os.File
+	activePads padStream
+	activeBase uint64
+	activeSize int64
+	nextLSN    uint64
+	lastSync   time.Time
+	dirty      bool      // appended records not yet covered by an issued fsync
+	cur        []pending // batch buffer for the next drain
+	spare      []pending // second batch buffer (ping-pong with the in-flight job)
+	encBuf     []byte    // reused frame encode buffer
+	sinceSync  int       // records appended since the last issued fsync
+	blockSync  int       // blocking records appended since the last issued fsync
+	inFlight   bool      // a syncJob is with the sync goroutine
 
-	// cohort is the EWMA of blocking records per fsync on this stripe —
-	// the concurrency estimate steering the adaptive window. Written by the
-	// sync goroutine, read by the writer (absorb); float bits in an atomic
-	// word.
+	// cohort is the EWMA of blocking records per fsync — the concurrency
+	// estimate steering the adaptive window. Written by the sync goroutine,
+	// read by the writer (absorb); float bits in an atomic word.
 	cohort atomic.Uint64
 
 	records   atomic.Uint64
@@ -163,6 +137,15 @@ type walStripe struct {
 	rotations atomic.Uint64
 	bytes     atomic.Uint64
 	syncHist  [SyncHistBuckets]atomic.Uint64
+
+	snapMu   sync.Mutex // serializes Snapshot
+	snaps    atomic.Uint64
+	lineages atomic.Int64 // log lineages on disk (see Stats.Stripes)
+
+	// afterFoldStep, when set (tests only), runs after Snapshot publishes
+	// and after each covered file it deletes; an error stops Snapshot
+	// there, as a crash would.
+	afterFoldStep func() error
 }
 
 type rotateReply struct {
@@ -188,22 +171,20 @@ func lockDir(dir string) (*os.File, error) {
 	return f, nil
 }
 
-// newStripe builds one stripe group wired to the WAL's shared state. The
-// caller sets nextLSN and opens the active segment before starting the
-// goroutines (start).
-func newStripe(w *WAL, id int) *walStripe {
-	return &walStripe{
-		id:       id,
-		dir:      w.dir,
-		key:      w.key,
-		opts:     w.opts,
-		failed:   &w.failed,
-		closed:   &w.closed,
-		stopc:    w.stopc,
-		killc:    w.killc,
+// newWAL builds the log. The caller sets nextLSN and opens the active
+// segment before starting the goroutines (start).
+func newWAL(dir string, key auditreg.Key, opts Options, lock *os.File, seqBase map[string]uint64) *WAL {
+	return &WAL{
+		dir:      dir,
+		key:      key,
+		opts:     opts,
+		lock:     lock,
+		seqBase:  seqBase,
 		notify:   make(chan struct{}, 1),
 		rotatec:  make(chan chan rotateReply),
 		flushc:   make(chan chan error),
+		stopc:    make(chan struct{}),
+		killc:    make(chan struct{}),
 		done:     make(chan struct{}),
 		syncc:    make(chan syncJob),
 		syncack:  make(chan syncAck, 1),
@@ -214,34 +195,28 @@ func newStripe(w *WAL, id int) *walStripe {
 	}
 }
 
-// start launches the stripe's writer and sync goroutines.
-func (s *walStripe) start() {
-	s.lastSync = time.Now()
-	go s.run()
-	go s.syncLoop()
+// start launches the writer and sync goroutines.
+func (w *WAL) start() {
+	w.lastSync = time.Now()
+	go w.run()
+	go w.syncLoop()
 }
 
-// stripeOf picks the stripe group for an object name, hashing exactly as the
-// store's shard map does.
-func (w *WAL) stripeOf(name string) *walStripe {
-	return w.groups[shard.Hash(name)&w.gmask]
-}
-
-// append encodes the mutation and appends it to the name's stripe, returning
-// the stripe and the completion channel for blocking records (nil
-// otherwise). Shared core of Record and RecordAsync.
-func (w *WAL) append(r *store.JournalRecord[uint64]) (*walStripe, chan error, error) {
+// append encodes the mutation and appends it to the buffer, returning the
+// completion channel for blocking records (nil otherwise). Shared core of
+// Record and RecordAsync.
+func (w *WAL) append(r *store.JournalRecord[uint64]) (chan error, error) {
 	if err := w.err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rec := fromJournal(r)
 	if rec.Op == 0 {
-		return nil, nil, fmt.Errorf("persist: unknown journal op %d", r.Op)
+		return nil, fmt.Errorf("persist: unknown journal op %d", r.Op)
 	}
 	if len(r.Name) > maxName {
 		// Refuse rather than write a frame the decoder must reject: one
 		// oversized record would make every future recovery halt.
-		return nil, nil, fmt.Errorf("persist: object name of %d bytes exceeds %d", len(r.Name), maxName)
+		return nil, fmt.Errorf("persist: object name of %d bytes exceeds %d", len(r.Name), maxName)
 	}
 	if base := w.seqBase[r.Name]; base > 0 {
 		switch rec.Op {
@@ -256,37 +231,36 @@ func (w *WAL) append(r *store.JournalRecord[uint64]) (*walStripe, chan error, er
 	blocking := w.opts.Policy == SyncAlways &&
 		(rec.Op == OpOpen || rec.Op == OpWrite || rec.Op == OpFetch)
 	p := pending{rec: rec}
-	s := w.stripeOf(r.Name)
 	if blocking {
 		p.done = doneChans.Get().(chan error)
-		s.waiters.Add(1)
+		w.waiters.Add(1)
 	}
-	s.mu.Lock()
-	// Re-check under the stripe lock: the writer's final drain on stopc
+	w.mu.Lock()
+	// Re-check under the buffer lock: the writer's final drain on stopc
 	// takes this lock after Close sets closed, so a record appended while
 	// closed is still false here is guaranteed to be in that drain — no
 	// record can be acknowledged and then stranded in a buffer.
 	if w.closed.Load() {
-		s.mu.Unlock()
+		w.mu.Unlock()
 		if blocking {
-			s.waiters.Add(-1)
+			w.waiters.Add(-1)
 			doneChans.Put(p.done)
 		}
-		return nil, nil, fmt.Errorf("persist: wal is closed")
+		return nil, fmt.Errorf("persist: wal is closed")
 	}
-	s.recs = append(s.recs, p)
-	s.mu.Unlock()
-	s.kick()
-	return s, p.done, nil
+	w.recs = append(w.recs, p)
+	w.mu.Unlock()
+	w.kick()
+	return p.done, nil
 }
 
 // wait collects the durability verdict of one appended blocking record.
-func (s *walStripe) wait(done chan error) error {
+func (w *WAL) wait(done chan error) error {
 	select {
 	case err := <-done:
 		doneChans.Put(done)
 		return err
-	case <-s.done:
+	case <-w.done:
 		// The writer exited (Close racing this append). It may still have
 		// committed the record in its final drain; prefer that verdict.
 		select {
@@ -301,30 +275,29 @@ func (s *walStripe) wait(done chan error) error {
 	}
 }
 
-// Record implements store.Journal: encode the mutation, append it to the
-// name's stripe, and — under SyncAlways, for records with durability
-// semantics — block until that stripe's group-commit writer reports the
-// record stable. Announce and audit records never block: they are pure
-// helping and derived state.
+// Record implements store.Journal: encode the mutation, append it, and —
+// under SyncAlways, for records with durability semantics — block until the
+// group-commit writer reports the record stable. Announce and audit records
+// never block: they are pure helping and derived state.
 func (w *WAL) Record(r store.JournalRecord[uint64]) error {
-	s, done, err := w.append(&r)
+	done, err := w.append(&r)
 	if err != nil || done == nil {
 		return err
 	}
-	return s.wait(done)
+	return w.wait(done)
 }
 
 // RecordAsync implements store.AsyncJournal: append like Record, but hand
 // the durability wait back to the caller as a commit closure, so a
 // pipelined caller (the network server) can keep executing requests while
-// the stripe's group-commit writer absorbs every in-flight mutation — the
-// whole pending buffer — into one fsync.
+// the group-commit writer absorbs every in-flight mutation — the whole
+// pending buffer — into one fsync.
 func (w *WAL) RecordAsync(r store.JournalRecord[uint64]) (func() error, error) {
-	s, done, err := w.append(&r)
+	done, err := w.append(&r)
 	if err != nil || done == nil {
 		return nil, err
 	}
-	return func() error { return s.wait(done) }, nil
+	return func() error { return w.wait(done) }, nil
 }
 
 // err returns the sticky failure, if any.
@@ -338,10 +311,10 @@ func (w *WAL) err() error {
 	return nil
 }
 
-// kick nudges the stripe's writer without blocking.
-func (s *walStripe) kick() {
+// kick nudges the writer without blocking.
+func (w *WAL) kick() {
 	select {
-	case s.notify <- struct{}{}:
+	case w.notify <- struct{}{}:
 	default:
 	}
 }
@@ -363,7 +336,7 @@ type syncAck struct {
 	buf []pending
 }
 
-// run is the stripe's group-commit writer: drain the append buffer, hold the
+// run is the group-commit writer: drain the append buffer, hold the
 // adaptive commit window open while the blocked-mutator cohort is still
 // arriving, assign LSNs, encrypt the batch against the active segment's pad
 // stream, and append. Under SyncAlways the fsync itself is pipelined: a
@@ -373,153 +346,159 @@ type syncAck struct {
 // free during the previous group's fsync and the commit cycle is max(fsync,
 // arrivals) rather than their sum. Other policies fsync inline, as does
 // every barrier path (rotate, flush, close).
-func (s *walStripe) run() {
-	defer close(s.done)
-	defer close(s.syncc)
-	tick := time.NewTicker(s.opts.Interval)
+func (w *WAL) run() {
+	defer close(w.done)
+	defer close(w.syncc)
+	tick := time.NewTicker(w.opts.Interval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-s.killc:
+		case <-w.killc:
 			// Crash simulation (tests): stop dead, no drain, no seal.
 			return
-		case <-s.stopc:
-			s.syncBarrier()
-			batch := s.drain(s.cur)
-			s.commitInline(batch, true)
-			s.sealActive()
+		case <-w.stopc:
+			w.syncBarrier()
+			batch := w.drain(w.cur)
+			w.commitInline(batch, true)
+			w.sealActive()
 			return
-		case reply := <-s.rotatec:
-			s.syncBarrier()
-			batch := s.drain(s.cur)
-			s.commitInline(batch, true)
-			s.cur = batch[:0]
+		case reply := <-w.rotatec:
+			w.syncBarrier()
+			batch := w.drain(w.cur)
+			w.commitInline(batch, true)
+			w.cur = batch[:0]
 			var rr rotateReply
-			rr.err = s.rotate()
-			rr.cutLSN = s.activeBase
-			if e := s.failed.Load(); rr.err == nil && e != nil {
+			rr.err = w.rotate()
+			rr.cutLSN = w.activeBase
+			if e := w.failed.Load(); rr.err == nil && e != nil {
 				rr.err = *e
 			}
 			reply <- rr
-		case reply := <-s.flushc:
-			s.syncBarrier()
-			batch := s.drain(s.cur)
-			s.commitInline(batch, true)
-			s.cur = batch[:0]
+		case reply := <-w.flushc:
+			w.syncBarrier()
+			batch := w.drain(w.cur)
+			w.commitInline(batch, true)
+			w.cur = batch[:0]
 			var err error
-			if e := s.failed.Load(); e != nil {
+			if e := w.failed.Load(); e != nil {
 				err = *e
 			}
 			reply <- err
-		case <-s.notify:
-			if s.opts.Policy == SyncAlways {
-				s.pipelineCommit()
+		case <-w.notify:
+			if w.opts.Policy == SyncAlways {
+				w.pipelineCommit()
 			} else {
 				// Not forced: commit syncs exactly when the interval is due.
-				batch := s.drain(s.cur)
-				s.commitInline(batch, false)
-				s.cur = batch[:0]
+				batch := w.drain(w.cur)
+				w.commitInline(batch, false)
+				w.cur = batch[:0]
 			}
 		case <-tick.C:
 			// Flush leftovers (announce records appended since the last
 			// sync) so helping state lags stability by at most one interval.
-			s.syncBarrier()
-			batch := s.drain(s.cur)
-			s.commitInline(batch, s.opts.Policy == SyncAlways)
-			s.cur = batch[:0]
+			w.syncBarrier()
+			batch := w.drain(w.cur)
+			w.commitInline(batch, w.opts.Policy == SyncAlways)
+			w.cur = batch[:0]
 		}
 	}
 }
 
-// pipelineCommit handles one notify wakeup under SyncAlways: drain, keep
-// absorbing arrivals for as long as the in-flight fsync forms a free commit
-// window (bounded by BatchBytes), optionally top the batch up to the
+// pipelineCommit handles one notify wakeup under SyncAlways: yield, drain,
+// keep absorbing arrivals for as long as the in-flight fsync forms a free
+// commit window (bounded by BatchBytes), optionally top the batch up to the
 // predicted cohort (absorb), then append and hand off. A shutdown or crash
-// signal parks the batch on s.cur for the outer loop to finish.
-func (s *walStripe) pipelineCommit() {
-	batch := s.drain(s.cur)
+// signal parks the batch on w.cur for the outer loop to finish.
+func (w *WAL) pipelineCommit() {
+	// Yield before draining. A mutator's kick schedules the writer next on
+	// the mutator's own P, ahead of every other runnable goroutine, so with
+	// one P the other runnable mutators have not appended yet: without the
+	// yield each would wake the writer alone, and group commit would
+	// degrade to one record per fsync.
+	runtime.Gosched()
+	batch := w.drain(w.cur)
 	approx := batchBytes(batch)
-	for s.inFlight && approx < s.opts.BatchBytes {
+	for w.inFlight && approx < w.opts.BatchBytes {
 		select {
-		case <-s.notify:
+		case <-w.notify:
 			before := len(batch)
-			batch = s.drain(batch)
+			batch = w.drain(batch)
 			for i := before; i < len(batch); i++ {
 				approx += batch[i].encSize()
 			}
-		case ack := <-s.syncack:
-			s.inFlight = false
-			s.spare = ack.buf[:0]
-		case <-s.stopc:
-			s.cur = batch
+		case ack := <-w.syncack:
+			w.inFlight = false
+			w.spare = ack.buf[:0]
+		case <-w.stopc:
+			w.cur = batch
 			return
-		case <-s.killc:
-			s.cur = batch
+		case <-w.killc:
+			w.cur = batch
 			return
 		}
 	}
-	batch = s.absorb(batch)
-	s.commitPipelined(batch)
+	batch = w.absorb(batch)
+	w.commitPipelined(batch)
+}
+
+// observeSync records one fdatasync's latency on the SyncLatency hook.
+func (w *WAL) observeSync(t0 int64) {
+	if h := w.opts.SyncLatency; h != nil {
+		h.Observe(0, telem.Now()-t0)
+	}
 }
 
 // syncLoop is the fsync half of the pipelined group commit: one job at a
 // time, fsync, publish the batching telemetry, wake the job's waiters,
 // hand the buffer back.
-func (s *walStripe) syncLoop() {
-	defer close(s.syncdone)
-	for job := range s.syncc {
+func (w *WAL) syncLoop() {
+	defer close(w.syncdone)
+	for job := range w.syncc {
 		t0 := telem.Now()
 		err := fdatasync(job.fd)
-		if h := s.opts.SyncLatency; h != nil {
-			h.Observe(uint64(s.id), telem.Now()-t0)
-		}
+		w.observeSync(t0)
 		if err != nil {
 			err = fmt.Errorf("persist: wal fsync: %w", err)
-			s.failed.CompareAndSwap(nil, &err)
-			s.fail(job.batch, err)
+			w.failed.CompareAndSwap(nil, &err)
+			w.complete(job.batch, err)
 		} else {
-			s.syncs.Add(1)
-			s.syncHist[syncBucket(job.records)].Add(1)
+			w.syncs.Add(1)
+			w.syncHist[syncBucket(job.records)].Add(1)
 			if job.blocking > 0 {
-				s.setCohort(0.75*s.cohortEstimate() + 0.25*float64(job.blocking))
+				w.setCohort(0.75*w.cohortEstimate() + 0.25*float64(job.blocking))
 			}
-			for i := range job.batch {
-				if job.batch[i].done != nil {
-					s.waiters.Add(-1)
-					job.batch[i].done <- nil
-				}
-			}
+			w.complete(job.batch, nil)
 		}
-		s.syncack <- syncAck{err: err, buf: job.batch}
+		w.syncack <- syncAck{err: err, buf: job.batch}
 	}
 }
 
 // syncBarrier waits out the in-flight fsync, if any, reclaiming its batch
 // buffer. Every non-pipelined touch of the active file (inline sync,
 // rotation, seal) starts here.
-func (s *walStripe) syncBarrier() {
-	if !s.inFlight {
+func (w *WAL) syncBarrier() {
+	if !w.inFlight {
 		return
 	}
-	ack := <-s.syncack
-	s.inFlight = false
-	s.spare = ack.buf[:0]
+	ack := <-w.syncack
+	w.inFlight = false
+	w.spare = ack.buf[:0]
 }
 
 // cohortEstimate and setCohort move the concurrency EWMA across the
 // writer/syncer boundary.
-func (s *walStripe) cohortEstimate() float64 { return math.Float64frombits(s.cohort.Load()) }
-func (s *walStripe) setCohort(v float64)     { s.cohort.Store(math.Float64bits(v)) }
+func (w *WAL) cohortEstimate() float64 { return math.Float64frombits(w.cohort.Load()) }
+func (w *WAL) setCohort(v float64)     { w.cohort.Store(math.Float64bits(v)) }
 
-// drain steals the stripe's pending records, appending them to batch (a
-// reused buffer).
-func (s *walStripe) drain(batch []pending) []pending {
-	s.mu.Lock()
-	if len(s.recs) > 0 {
-		batch = append(batch, s.recs...)
-		s.recs = s.recs[:0]
+// drain steals the pending records, appending them to batch (a reused
+// buffer).
+func (w *WAL) drain(batch []pending) []pending {
+	w.mu.Lock()
+	if len(w.recs) > 0 {
+		batch = append(batch, w.recs...)
+		w.recs = w.recs[:0]
 	}
-	s.mu.Unlock()
+	w.mu.Unlock()
 	return batch
 }
 
@@ -538,22 +517,22 @@ func blockingRecords(batch []pending) int {
 // BatchDelay, bounded by BatchBytes — while the blocked-mutator cohort is
 // still arriving, so one fsync covers it whole. Two signals open the
 // window: waiters the writer can already see (blocking mutators in flight
-// on this stripe beyond the batch), and the cohort EWMA — the recent
+// beyond the batch), and the cohort EWMA — the recent
 // blocking-records-per-fsync average — which predicts the stragglers it
 // cannot see yet: under concurrency, a record that lands right after a sync
 // would otherwise commit alone, and the next conn's record half a
 // round-trip behind it would buy a second fsync. The window closes as soon
 // as the batch reaches the predicted cohort with no further waiters in
 // flight; with a single steady mutator the EWMA decays to one and the
-// window stops opening at all — an uncontended stripe adds no latency.
+// window stops opening at all — an uncontended log adds no latency.
 // Shutdown and crash signals abort the window.
-func (s *walStripe) absorb(batch []pending) []pending {
+func (w *WAL) absorb(batch []pending) []pending {
 	nb := blockingRecords(batch)
-	if s.opts.BatchDelay <= 0 || nb == 0 {
+	if w.opts.BatchDelay <= 0 || nb == 0 {
 		return batch
 	}
-	target := int(s.cohortEstimate() + 0.5)
-	if int64(nb) >= s.waiters.Load() && nb >= target {
+	target := int(w.cohortEstimate() + 0.5)
+	if int64(nb) >= w.waiters.Load() && nb >= target {
 		return batch
 	}
 	var timer *time.Timer
@@ -563,28 +542,28 @@ func (s *walStripe) absorb(batch []pending) []pending {
 		}
 	}()
 	approx := batchBytes(batch)
-	for approx < s.opts.BatchBytes {
+	for approx < w.opts.BatchBytes {
 		if timer == nil {
-			timer = time.NewTimer(s.opts.BatchDelay)
+			timer = time.NewTimer(w.opts.BatchDelay)
 		}
 		select {
-		case <-s.notify:
+		case <-w.notify:
 			before := len(batch)
-			batch = s.drain(batch)
+			batch = w.drain(batch)
 			for i := before; i < len(batch); i++ {
 				if batch[i].done != nil {
 					nb++
 				}
 				approx += batch[i].encSize()
 			}
-			if int64(nb) >= s.waiters.Load() && nb >= target {
+			if int64(nb) >= w.waiters.Load() && nb >= target {
 				return batch
 			}
 		case <-timer.C:
 			return batch
-		case <-s.stopc:
+		case <-w.stopc:
 			return batch
-		case <-s.killc:
+		case <-w.killc:
 			return batch
 		}
 	}
@@ -603,73 +582,72 @@ func batchBytes(batch []pending) int {
 // appendBatch encodes the batch into the reused frame buffer and appends it
 // to the active segment with one write, rotating first when the segment is
 // over size (callers on the pipelined path have already barriered).
-func (s *walStripe) appendBatch(batch []pending) error {
+func (w *WAL) appendBatch(batch []pending) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if s.activeSize > s.opts.SegmentBytes {
-		if err := s.rotate(); err != nil {
+	if w.activeSize > w.opts.SegmentBytes {
+		if err := w.rotate(); err != nil {
 			return err
 		}
 	}
-	buf := s.encBuf[:0]
+	buf := w.encBuf[:0]
 	for i := range batch {
-		buf = appendFrame(buf, s.activePads, s.activeSize+int64(len(buf)), s.nextLSN, &batch[i].rec)
-		s.nextLSN++
+		buf = appendFrame(buf, w.activePads, w.activeSize+int64(len(buf)), w.nextLSN, &batch[i].rec)
+		w.nextLSN++
 	}
-	n, err := s.active.Write(buf)
-	s.activeSize += int64(n)
-	s.bytes.Add(uint64(n))
-	s.encBuf = buf
+	n, err := w.active.Write(buf)
+	w.activeSize += int64(n)
+	w.bytes.Add(uint64(n))
+	w.encBuf = buf
 	if err != nil {
 		return err
 	}
-	s.dirty = true
-	s.sinceSync += len(batch)
-	s.blockSync += blockingRecords(batch)
-	s.records.Add(uint64(len(batch)))
-	s.batches.Add(1)
+	w.dirty = true
+	w.sinceSync += len(batch)
+	w.blockSync += blockingRecords(batch)
+	w.records.Add(uint64(len(batch)))
+	w.batches.Add(1)
 	return nil
 }
 
 // commitPipelined is the SyncAlways notify path: append the batch, and —
 // when it carries waiters — hand it to the sync goroutine. The barrier
-// before the handoff keeps exactly one fsync in flight per stripe;
-// everything appended before the handoff is covered by the fsync it
-// triggers (the syscall is issued strictly after the writes). A batch with
-// no waiters appends without syncing: pure helping never pays for, or
-// causes, a sync. The writer reclaims the previous job's buffer at the
-// barrier, so two batch buffers ping-pong between the halves with no
-// allocation.
-func (s *walStripe) commitPipelined(batch []pending) {
-	if e := s.failed.Load(); e != nil {
-		s.fail(batch, *e)
-		s.cur = batch[:0]
+// before the handoff keeps exactly one fsync in flight; everything appended
+// before the handoff is covered by the fsync it triggers (the syscall is
+// issued strictly after the writes). A batch with no waiters appends
+// without syncing: pure helping never pays for, or causes, a sync. The
+// writer reclaims the previous job's buffer at the barrier, so two batch
+// buffers ping-pong between the halves with no allocation.
+func (w *WAL) commitPipelined(batch []pending) {
+	if e := w.failed.Load(); e != nil {
+		w.complete(batch, *e)
+		w.cur = batch[:0]
 		return
 	}
-	rotating := len(batch) > 0 && s.activeSize > s.opts.SegmentBytes
+	rotating := len(batch) > 0 && w.activeSize > w.opts.SegmentBytes
 	if rotating || blockingRecords(batch) > 0 {
 		// The in-flight fsync must finish before we seal its file or issue
 		// the next one.
-		s.syncBarrier()
+		w.syncBarrier()
 	}
-	if err := s.appendBatch(batch); err != nil {
+	if err := w.appendBatch(batch); err != nil {
 		err = fmt.Errorf("persist: wal append: %w", err)
-		s.failed.CompareAndSwap(nil, &err)
-		s.fail(batch, err)
-		s.cur = batch[:0]
+		w.failed.CompareAndSwap(nil, &err)
+		w.complete(batch, err)
+		w.cur = batch[:0]
 		return
 	}
 	if blockingRecords(batch) == 0 {
-		s.cur = batch[:0] // keep the buffer; nobody waits
+		w.cur = batch[:0] // keep the buffer; nobody waits
 		return
 	}
-	s.syncc <- syncJob{fd: s.active, batch: batch, records: s.sinceSync, blocking: s.blockSync}
-	s.inFlight = true
-	s.dirty = false // the issued fsync covers everything appended so far
-	s.sinceSync, s.blockSync = 0, 0
-	s.cur = s.spare[:0]
-	s.spare = nil
+	w.syncc <- syncJob{fd: w.active, batch: batch, records: w.sinceSync, blocking: w.blockSync}
+	w.inFlight = true
+	w.dirty = false // the issued fsync covers everything appended so far
+	w.sinceSync, w.blockSync = 0, 0
+	w.cur = w.spare[:0]
+	w.spare = nil
 }
 
 // commitInline writes one batch to the active segment and fsyncs when the
@@ -677,66 +655,59 @@ func (s *walStripe) commitPipelined(batch []pending) {
 // non-pipelined path, used by the Interval/Never policies and by every
 // barrier (rotate, flush, close, tick leftovers). Pipelined callers
 // syncBarrier first.
-func (s *walStripe) commitInline(batch []pending, force bool) {
-	if e := s.failed.Load(); e != nil {
-		s.fail(batch, *e)
+func (w *WAL) commitInline(batch []pending, force bool) {
+	if e := w.failed.Load(); e != nil {
+		w.complete(batch, *e)
 		return
 	}
-	err := s.appendBatch(batch)
-	if err == nil && s.dirty {
+	err := w.appendBatch(batch)
+	if err == nil && w.dirty {
 		sync := force
 		if !sync {
-			switch s.opts.Policy {
+			switch w.opts.Policy {
 			case SyncAlways:
 				// Whatever drained this batch (notify, tick), a waiter must
 				// never be released before its record is stable.
 				sync = blockingRecords(batch) > 0
 			case SyncInterval:
-				if time.Since(s.lastSync) >= s.opts.Interval {
+				if time.Since(w.lastSync) >= w.opts.Interval {
 					sync = true
 				}
 			}
 		}
 		if sync {
 			t0 := telem.Now()
-			err = fdatasync(s.active)
-			if h := s.opts.SyncLatency; h != nil {
-				h.Observe(uint64(s.id), telem.Now()-t0)
-			}
+			err = fdatasync(w.active)
+			w.observeSync(t0)
 			if err == nil {
-				s.dirty = false
-				s.lastSync = time.Now()
-				s.syncs.Add(1)
-				s.syncHist[syncBucket(s.sinceSync)].Add(1)
-				if s.blockSync > 0 {
+				w.dirty = false
+				w.lastSync = time.Now()
+				w.syncs.Add(1)
+				w.syncHist[syncBucket(w.sinceSync)].Add(1)
+				if w.blockSync > 0 {
 					// Update the concurrency estimate from syncs that carried
 					// waiters (tick-driven announce flushes say nothing about
 					// mutator concurrency).
-					s.setCohort(0.75*s.cohortEstimate() + 0.25*float64(s.blockSync))
+					w.setCohort(0.75*w.cohortEstimate() + 0.25*float64(w.blockSync))
 				}
-				s.sinceSync, s.blockSync = 0, 0
+				w.sinceSync, w.blockSync = 0, 0
 			}
 		}
 	}
 	if err != nil {
 		err = fmt.Errorf("persist: wal append: %w", err)
-		s.failed.CompareAndSwap(nil, &err)
-		s.fail(batch, err)
+		w.failed.CompareAndSwap(nil, &err)
+		w.complete(batch, err)
 		return
 	}
-	for i := range batch {
-		if batch[i].done != nil {
-			s.waiters.Add(-1)
-			batch[i].done <- nil
-		}
-	}
+	w.complete(batch, nil)
 }
 
-// fail completes a batch's waiters with err.
-func (s *walStripe) fail(batch []pending, err error) {
+// complete hands every waiter of the batch its verdict.
+func (w *WAL) complete(batch []pending, err error) {
 	for i := range batch {
 		if batch[i].done != nil {
-			s.waiters.Add(-1)
+			w.waiters.Add(-1)
 			batch[i].done <- err
 		}
 	}
@@ -744,58 +715,58 @@ func (s *walStripe) fail(batch []pending, err error) {
 
 // rotate seals the active segment and opens a fresh one whose base is the
 // next LSN.
-func (s *walStripe) rotate() error {
-	if err := s.sealActive(); err != nil {
+func (w *WAL) rotate() error {
+	if err := w.sealActive(); err != nil {
 		return err
 	}
-	if err := s.openSegment(s.nextLSN); err != nil {
+	if err := w.openSegment(w.nextLSN); err != nil {
 		return err
 	}
-	s.rotations.Add(1)
+	w.rotations.Add(1)
 	return nil
 }
 
 // sealActive appends the seal record, fsyncs, and closes the active
 // segment.
-func (s *walStripe) sealActive() error {
-	if s.active == nil {
+func (w *WAL) sealActive() error {
+	if w.active == nil {
 		return nil
 	}
-	if e := s.failed.Load(); e != nil {
+	if e := w.failed.Load(); e != nil {
 		// A sticky failure may have left a partial frame at the tail.
 		// Appending a valid seal after it would turn auto-repairable torn
 		// damage into hard corruption the next recovery must refuse; leave
 		// the segment unsealed and let recovery truncate the tail.
-		err := s.active.Close()
-		s.active = nil
-		s.dirty = false
+		err := w.active.Close()
+		w.active = nil
+		w.dirty = false
 		return err
 	}
 	seal := Record{Op: OpSeal}
-	buf := appendFrame(s.encBuf[:0], s.activePads, s.activeSize, s.nextLSN, &seal)
-	s.nextLSN++
-	n, err := s.active.Write(buf)
-	s.activeSize += int64(n)
+	buf := appendFrame(w.encBuf[:0], w.activePads, w.activeSize, w.nextLSN, &seal)
+	w.nextLSN++
+	n, err := w.active.Write(buf)
+	w.activeSize += int64(n)
 	if err != nil {
 		return err
 	}
-	if err := s.active.Sync(); err != nil {
+	if err := w.active.Sync(); err != nil {
 		return err
 	}
-	err = s.active.Close()
-	s.active = nil
-	s.dirty = false
+	err = w.active.Close()
+	w.active = nil
+	w.dirty = false
 	return err
 }
 
 // openSegment creates and syncs a fresh active segment with the given base
 // LSN, deriving the segment's pad stream from its header nonce.
-func (s *walStripe) openSegment(base uint64) error {
+func (w *WAL) openSegment(base uint64) error {
 	hdr, nonce, err := newHeader(segMagic, base)
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(filepath.Join(s.dir, segmentName(s.id, base)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
+	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(base)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
 	if err != nil {
 		return err
 	}
@@ -807,45 +778,35 @@ func (s *walStripe) openSegment(base uint64) error {
 		f.Close()
 		return err
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := syncDir(w.dir); err != nil {
 		f.Close()
 		return err
 	}
-	s.active = f
-	s.activeNonce = nonce
-	s.activePads = newPadStream(s.key, &nonce)
-	s.activeBase = base
-	s.activeSize = headerLen
+	w.active = f
+	w.activePads = newPadStream(w.key, &nonce)
+	w.activeBase = base
+	w.activeSize = headerLen
 	return nil
 }
 
 // Sync forces everything appended so far onto stable storage, regardless of
-// policy: drain, write, fsync, on every stripe. It returns once the whole
-// log is stable.
+// policy: drain, write, fsync. It returns once the whole log is stable.
 func (w *WAL) Sync() error {
 	if err := w.err(); err != nil {
 		return err
 	}
-	var first error
-	for _, s := range w.groups {
-		reply := make(chan error, 1)
-		select {
-		case s.flushc <- reply:
-			if err := <-reply; err != nil && first == nil {
-				first = err
-			}
-		case <-s.done:
-			if err := w.err(); err != nil && first == nil {
-				first = err
-			}
-		}
+	reply := make(chan error, 1)
+	select {
+	case w.flushc <- reply:
+		return <-reply
+	case <-w.done:
+		return w.err()
 	}
-	return first
 }
 
-// Close drains and seals every stripe, then releases the directory lock.
-// The WAL is unusable afterwards; a clean Close leaves every segment
-// sealed, so the next recovery finds no torn tail.
+// Close drains and seals the log, then releases the directory lock. The
+// WAL is unusable afterwards; a clean Close leaves every segment sealed, so
+// the next recovery finds no torn tail.
 func (w *WAL) Close() error {
 	if !w.closed.CompareAndSwap(false, true) {
 		w.join()
@@ -857,49 +818,49 @@ func (w *WAL) Close() error {
 	if e := w.failed.Load(); e != nil {
 		err = *e
 	}
+	w.unlock()
+	return err
+}
+
+// join waits for the writer and sync goroutines to exit.
+func (w *WAL) join() {
+	<-w.done
+	<-w.syncdone
+}
+
+// unlock releases the directory lock.
+func (w *WAL) unlock() {
 	if w.lock != nil {
 		syscall.Flock(int(w.lock.Fd()), syscall.LOCK_UN)
 		w.lock.Close()
 	}
-	return err
 }
 
-// join waits for every stripe's writer and sync goroutine to exit.
-func (w *WAL) join() {
-	for _, s := range w.groups {
-		<-s.done
-		<-s.syncdone
-	}
-}
-
-// abandon simulates kill -9 for in-process tests: every stripe's writer
-// stops without draining its buffer or sealing its active segment, and the
-// directory lock is released so the "restarted" process can take it.
-// Everything the OS already has (every completed Write syscall) stays on
-// disk, exactly as after a real SIGKILL on one machine.
+// abandon simulates kill -9 for in-process tests: the writer stops without
+// draining its buffer or sealing the active segment, and the directory lock
+// is released so the "restarted" process can take it. Everything the OS
+// already has (every completed Write syscall) stays on disk, exactly as
+// after a real SIGKILL on one machine.
 func (w *WAL) abandon() {
 	if !w.closed.CompareAndSwap(false, true) {
 		w.join()
 		return
 	}
 	close(w.killc)
-	w.join() // in-flight fsyncs finish before the fds close
-	for _, s := range w.groups {
-		if s.active != nil {
-			s.active.Close()
-			s.active = nil
-		}
+	w.join() // an in-flight fsync finishes before the fd closes
+	if w.active != nil {
+		w.active.Close()
+		w.active = nil
 	}
-	if w.lock != nil {
-		syscall.Flock(int(w.lock.Fd()), syscall.LOCK_UN)
-		w.lock.Close()
-	}
+	w.unlock()
 }
 
-// Stats is a point-in-time snapshot of the WAL's counters, summed across
-// stripes.
+// Stats is a point-in-time snapshot of the WAL's counters.
 type Stats struct {
-	Stripes   int    // stripe groups (pinned by the data directory)
+	// Stripes is the number of log lineages on disk: 1, or more while a
+	// directory the striped WAL layout wrote awaits the Snapshot that folds
+	// its stripes into the one log.
+	Stripes   int
 	Records   uint64 // records appended
 	Batches   uint64 // group commits
 	Syncs     uint64 // fsync calls on segment data
@@ -908,32 +869,29 @@ type Stats struct {
 	Bytes     uint64 // record bytes appended
 	// SyncHist is the group-commit batch-size histogram: SyncHist[i] counts
 	// fsyncs that made ≤ 2^i records stable (the last bucket collects
-	// everything larger), summed across stripes so the series reads the
-	// same whether the log runs one stripe or sixteen. It is the direct
-	// observable behind the batching claim: a healthy concurrent workload
-	// piles its mass in the upper buckets.
+	// everything larger). It is the direct observable behind the batching
+	// claim: a healthy concurrent workload piles its mass in the upper
+	// buckets.
 	SyncHist [SyncHistBuckets]uint64
 }
 
 // Stats returns the WAL's counters.
 func (w *WAL) Stats() Stats {
+	// Load numerators before their denominators so a snapshot taken
+	// mid-traffic can't tear the derived ratios the wrong way: a sync is
+	// counted only after its records are, so syncs/records from one
+	// snapshot never exceeds what the log actually did.
 	st := Stats{
-		Stripes:   len(w.groups),
+		Stripes:   int(w.lineages.Load()),
 		Snapshots: w.snaps.Load(),
+		Syncs:     w.syncs.Load(),
 	}
-	for _, s := range w.groups {
-		// Load numerators before their denominators so a snapshot taken
-		// mid-traffic can't tear the derived ratios the wrong way: a sync is
-		// counted only after its records are, so syncs/records from one
-		// snapshot never exceeds what the stripe actually did.
-		st.Syncs += s.syncs.Load()
-		st.Batches += s.batches.Load()
-		st.Records += s.records.Load()
-		st.Rotations += s.rotations.Load()
-		st.Bytes += s.bytes.Load()
-		for i := range st.SyncHist {
-			st.SyncHist[i] += s.syncHist[i].Load()
-		}
+	st.Batches = w.batches.Load()
+	st.Records = w.records.Load()
+	st.Rotations = w.rotations.Load()
+	st.Bytes = w.bytes.Load()
+	for i := range st.SyncHist {
+		st.SyncHist[i] = w.syncHist[i].Load()
 	}
 	return st
 }

@@ -17,7 +17,7 @@ const testReaders = 8
 func testKey() auditreg.Key { return DeriveKey(auditreg.KeyFromSeed(42)) }
 
 // newTestStore builds a journal-less store shaped like the server's.
-func newTestStore(t *testing.T) *store.Store[uint64] {
+func newTestStore(t testing.TB) *store.Store[uint64] {
 	t.Helper()
 	st, err := store.New[uint64](auditreg.KeyFromSeed(42),
 		store.WithReaders[uint64](testReaders),
@@ -30,7 +30,7 @@ func newTestStore(t *testing.T) *store.Store[uint64] {
 }
 
 // openWAL opens dir into a fresh store and attaches the WAL.
-func openWAL(t *testing.T, dir string, opts Options) (*WAL, *RecoverResult, *store.Store[uint64]) {
+func openWAL(t testing.TB, dir string, opts Options) (*WAL, *RecoverResult, *store.Store[uint64]) {
 	t.Helper()
 	st := newTestStore(t)
 	w, res, err := Open(dir, testKey(), st, opts)
@@ -45,7 +45,7 @@ func openWAL(t *testing.T, dir string, opts Options) (*WAL, *RecoverResult, *sto
 // objects, interleaved writes and reads from several reader principals.
 // Object names embed tag so successive phases create distinct or identical
 // names as the test needs.
-func drive(t *testing.T, st *store.Store[uint64], seed int64, objects, ops int) []string {
+func drive(t testing.TB, st *store.Store[uint64], seed int64, objects, ops int) []string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	names := make([]string, objects)
@@ -251,10 +251,8 @@ func TestRecoverTornTail(t *testing.T) {
 
 func TestRecoverHaltsOnSealedSegmentCorruption(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments force rotations, so sealed segments exist; one stripe so
-	// the first listed segment is guaranteed sealed (a second stripe's active
-	// segment would sort between this stripe's files).
-	w, _, st := openWAL(t, dir, Options{SegmentBytes: 4 << 10, Stripes: 1})
+	// Tiny segments force rotations, so sealed segments exist.
+	w, _, st := openWAL(t, dir, Options{SegmentBytes: 4 << 10})
 	drive(t, st, 5, 8, 2000)
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -276,10 +274,7 @@ func TestRecoverHaltsOnSealedSegmentCorruption(t *testing.T) {
 
 func TestSnapshotCompactsAndPreservesAudits(t *testing.T) {
 	dir := t.TempDir()
-	// One stripe: the cut-covers-segment check below compares every file
-	// against one cut LSN, which only means something inside one stripe's
-	// LSN space.
-	w, _, st := openWAL(t, dir, Options{SegmentBytes: 8 << 10, Stripes: 1})
+	w, _, st := openWAL(t, dir, Options{SegmentBytes: 8 << 10})
 	names := drive(t, st, 6, 8, 1500)
 	cut, err := w.Snapshot()
 	if err != nil {
@@ -291,11 +286,11 @@ func TestSnapshotCompactsAndPreservesAudits(t *testing.T) {
 	// Covered segments are gone; the snapshot file exists.
 	for _, seg := range allSegments(t, dir) {
 		name := filepath.Base(seg)
-		if _, meta, isSeg, _ := parseFileName(name); isSeg && meta < cut {
+		if f, isSeg, _ := parseFileName(name); isSeg && f.meta < cut {
 			t.Errorf("segment %s below cut %d survived the snapshot", name, cut)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotName(0, cut))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, snapshotName(cut))); err != nil {
 		t.Fatalf("snapshot file: %v", err)
 	}
 
@@ -401,7 +396,7 @@ func TestSynthesizedWriteFromFetch(t *testing.T) {
 		{Op: OpFetch, Name: "acct", Kind: uint8(store.Register), Reader: 3, Seq: 1, Value: 777},
 	}
 	lsns := []uint64{1, 2}
-	if err := writeSealedFile(dir, segmentName(0, 1), segMagic, 1, testKey(), recs, lsns); err != nil {
+	if err := writeSealedFile(dir, segmentName(1), segMagic, 1, testKey(), recs, lsns); err != nil {
 		t.Fatalf("writeSealedFile: %v", err)
 	}
 
@@ -431,7 +426,7 @@ func TestFetchValueMismatchHalts(t *testing.T) {
 		{Op: OpWrite, Name: "acct", Kind: uint8(store.Register), Seq: 1, Value: 10},
 		{Op: OpFetch, Name: "acct", Kind: uint8(store.Register), Reader: 0, Seq: 1, Value: 11},
 	}
-	if err := writeSealedFile(dir, segmentName(0, 1), segMagic, 1, testKey(), recs, []uint64{1, 2, 3}); err != nil {
+	if err := writeSealedFile(dir, segmentName(1), segMagic, 1, testKey(), recs, []uint64{1, 2, 3}); err != nil {
 		t.Fatalf("writeSealedFile: %v", err)
 	}
 	st := newTestStore(t)
@@ -450,8 +445,8 @@ func allSegments(t *testing.T, dir string) []string {
 		t.Fatal(err)
 	}
 	var out []string
-	for sid := 0; sid <= ds.maxStripe; sid++ {
-		for _, sf := range ds.segments[sid] {
+	for _, ln := range ds.lineages {
+		for _, sf := range ln.segments {
 			out = append(out, filepath.Join(dir, sf.name))
 		}
 	}
@@ -465,6 +460,22 @@ func lastSegment(t *testing.T, dir string) string {
 		t.Fatal("no segments")
 	}
 	return segs[len(segs)-1]
+}
+
+// writeSealedFile writes a complete sealed record file holding recs, record
+// i at LSN lsns[i].
+func writeSealedFile(dir, name, magic string, meta uint64, key auditreg.Key, recs []Record, lsns []uint64) error {
+	sw, err := createSealed(dir, name, magic, meta, key)
+	if err != nil {
+		return err
+	}
+	for i := range recs {
+		if err := sw.add(&recs[i], lsns[i]); err != nil {
+			sw.abort()
+			return err
+		}
+	}
+	return sw.publish()
 }
 
 func corruptByte(t *testing.T, path string, off int64) {

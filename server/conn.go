@@ -54,8 +54,8 @@ type conn struct {
 // pendingResp is one encoded response whose request's durability commit is
 // still outstanding: the completion goroutine collects the verdict and only
 // then releases the frame to the writer — so a shard executor never parks on
-// an fsync, and every mutation in flight on the connection rides its
-// stripe's group commit.
+// an fsync, and every mutation in flight on the connection rides the WAL's
+// group commit.
 type pendingResp struct {
 	id     uint64
 	buf    *wire.Buf
@@ -200,8 +200,9 @@ func (c *conn) writeLoop() {
 }
 
 // route hands one request frame to the shard executor its object name
-// hashes to — the same FNV-1a hash the store's shard map and the WAL's
-// stripe map use, so one object means one executor means one WAL stripe.
+// hashes to — the same FNV-1a hash the store's shard map uses, so one
+// object means one shard means one executor, and every executor journals to
+// the one WAL.
 // The frame body is a view into the connection's read buffer, reused for the
 // next frame, so the executor hop gets a pooled copy. When the executor's
 // queue is at its high watermark the request is shed with CodeBusy instead
@@ -260,7 +261,7 @@ func (c *conn) shed(id uint64) {
 // done with it when execute returns. Same-shard mutations execute in queue
 // order, but their durability wait — when the WAL has one — is handed to
 // the conn's completion goroutine, so the executor moves on immediately and
-// the stripe's group commit absorbs everything in flight on the shard.
+// the WAL's group commit absorbs everything in flight on every shard.
 func (c *conn) execute(id uint64, verb wire.Verb, body []byte) {
 	s := c.srv
 	// Size the response buffer by verb so big cold-path responses draw from

@@ -7,10 +7,10 @@
 //
 // Each accepted connection gets a reader that decodes request frames and
 // routes each one — by the FNV-1a hash of its object name, the same hash
-// the store's shard map and the WAL's stripe map use — to one of the
-// server's shard executors: single goroutines that each own their slice of
-// the store, so cross-connection operations on one shard serialize without
-// lock contention while distinct shards run in parallel. Responses flow
+// the store's shard map uses — to one of the server's shard executors:
+// single goroutines that each own their slice of the store, so
+// cross-connection operations on one shard serialize without lock
+// contention while distinct shards run in parallel. Responses flow
 // back through the connection's completion stage (durability verdicts) and
 // writer goroutine (scatter-gather flushes). Requests pipeline naturally —
 // a client may have any number of frames in flight — and per-object order
@@ -109,10 +109,6 @@ type Config struct {
 	// negative delay disables the window). See persist.Options.
 	WALBatchDelay time.Duration
 	WALBatchBytes int
-	// WALStripes is the WAL stripe-group count (default in persist:
-	// runtime.GOMAXPROCS(0)). A non-empty data directory pins its own
-	// count; see persist.Options.Stripes.
-	WALStripes int
 	// NodeID is this daemon's cluster node id (1-based; 0 means standalone,
 	// not part of a cluster). A dispersing client (package auditreg/cluster)
 	// derives each node's share pads from the node id it maps an address to,
@@ -253,7 +249,6 @@ func New(cfg Config) (*Server, error) {
 			Policy:       cfg.Fsync,
 			Interval:     cfg.FsyncInterval,
 			SegmentBytes: cfg.SegmentBytes,
-			Stripes:      cfg.WALStripes,
 			BatchDelay:   cfg.WALBatchDelay,
 			BatchBytes:   cfg.WALBatchBytes,
 			SyncLatency:  tel.walFsync,

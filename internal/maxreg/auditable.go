@@ -43,7 +43,7 @@ type Auditable[V comparable] struct {
 	r    shmem.TripleReg[Nonced[V]]
 	sn   shmem.SeqReg
 	mreg MaxReg[Nonced[V]]
-	vals *unbounded.Array[V]
+	vals unbounded.Log[V]
 	bits *unbounded.BitTable
 }
 
@@ -96,7 +96,7 @@ func NewAuditable[V comparable](m int, initial V, less Less[V], pads otp.PadSour
 		opt(&cfg)
 	}
 
-	vals, err := unbounded.NewArray[V](cfg.capacity)
+	vals, err := unbounded.NewLog[V](cfg.capacity)
 	if err != nil {
 		return nil, err
 	}

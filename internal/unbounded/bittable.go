@@ -14,39 +14,29 @@ import (
 //
 // Construct with NewBitTable; the zero value is not usable.
 type BitTable struct {
-	dir []atomic.Pointer[bitChunk]
-}
-
-type bitChunk struct {
-	rows [chunkSize]atomic.Uint64
+	dir[atomic.Uint64]
 }
 
 // NewBitTable returns a table addressable on rows [0, capacity). A capacity
 // of 0 selects DefaultCapacity.
 func NewBitTable(capacity int) (*BitTable, error) {
-	if capacity == 0 {
-		capacity = DefaultCapacity
+	d, err := newDir[atomic.Uint64](capacity, false)
+	if err != nil {
+		return nil, err
 	}
-	if capacity < 0 {
-		return nil, fmt.Errorf("unbounded: negative capacity %d", capacity)
-	}
-	nChunks := (capacity + chunkSize - 1) / chunkSize
-	return &BitTable{dir: make([]atomic.Pointer[bitChunk], nChunks)}, nil
+	return &BitTable{d}, nil
 }
-
-// Capacity returns the number of addressable rows.
-func (t *BitTable) Capacity() uint64 { return uint64(len(t.dir)) * chunkSize }
 
 // Or atomically ORs bits into row s.
 func (t *BitTable) Or(s uint64, bits uint64) error {
 	if bits == 0 {
 		return nil
 	}
-	c, err := t.chunkFor(s, true)
+	b, off, err := t.locate(s, true)
 	if err != nil {
 		return err
 	}
-	c.rows[s&(chunkSize-1)].Or(bits)
+	b[off].Or(bits)
 	return nil
 }
 
@@ -61,27 +51,9 @@ func (t *BitTable) Set(s uint64, j int) error {
 
 // Row returns the current bits of row s (zero if never written).
 func (t *BitTable) Row(s uint64) uint64 {
-	c, err := t.chunkFor(s, false)
-	if err != nil || c == nil {
+	b, off, err := t.locate(s, false)
+	if err != nil || b == nil {
 		return 0
 	}
-	return c.rows[s&(chunkSize-1)].Load()
-}
-
-func (t *BitTable) chunkFor(s uint64, create bool) (*bitChunk, error) {
-	ci := s >> chunkBits
-	if ci >= uint64(len(t.dir)) {
-		return nil, fmt.Errorf("unbounded: row %d beyond capacity %d", s, t.Capacity())
-	}
-	if c := t.dir[ci].Load(); c != nil {
-		return c, nil
-	}
-	if !create {
-		return nil, nil
-	}
-	fresh := new(bitChunk)
-	if t.dir[ci].CompareAndSwap(nil, fresh) {
-		return fresh, nil
-	}
-	return t.dir[ci].Load(), nil
+	return b[off].Load()
 }

@@ -74,9 +74,11 @@ func (k Kind) String() string {
 	}
 }
 
-// Default sizing. Objects default to a short audit history (DefaultCapacity
-// writes) so that hosting thousands of them stays cheap; raise per store or
-// per object when single objects live long.
+// Default sizing. DefaultCapacity bounds an object's audit history, the
+// number of writes it can record; it reserves nothing. The history arrays
+// grow with the writes actually made, so an object written a few times costs
+// a few KiB whatever its capacity. Raise it per store or per object when
+// single objects live long.
 const (
 	DefaultReaders    = 16
 	DefaultComponents = 4

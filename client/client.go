@@ -61,6 +61,7 @@ type Client struct {
 
 	conns []*conn
 	next  atomic.Uint64
+	fc    flushCounters // every connection's flushes, redials included
 
 	// rtt is the retry-inclusive round-trip histogram over Write/Read/Audit
 	// calls — the client-side end of the pipeline stage trace. Striped by
@@ -177,7 +178,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	}
 	c.conns = make([]*conn, c.nconns)
 	for i := range c.conns {
-		cn, err := dialConn(addr, c.timeout, c.reqTimeout, c.dialer, c.node)
+		cn, err := dialConn(addr, c.timeout, c.reqTimeout, c.dialer, c.node, &c.fc)
 		if err != nil {
 			for _, prev := range c.conns[:i] {
 				prev.close(err)
@@ -227,7 +228,7 @@ func (c *Client) pick() *conn {
 	}
 	// Redial outside the client lock: a blocking dial must stall only this
 	// request, never the healthy connections.
-	fresh, err := dialConn(c.addr, c.timeout, c.reqTimeout, c.dialer, c.node)
+	fresh, err := dialConn(c.addr, c.timeout, c.reqTimeout, c.dialer, c.node, &c.fc)
 	if err != nil {
 		return cn
 	}
@@ -327,6 +328,14 @@ func (c *Client) StatsInfo() (wire.StatsResp, error) {
 // histogram: every Object.Write, Object.Read, and Auditor audit call
 // contributes one observation covering redials, backoff, and retries.
 func (c *Client) RTT() telem.Snapshot { return c.rtt.Snapshot() }
+
+// Flushes returns how many writev flushes the pool's connections have made
+// and how many request frames those flushes carried, summed over every
+// connection the pool has dialed. frames/flushes is the client's coalescing
+// factor, the twin of the server's conn-flushed-frames/conn-flushes.
+func (c *Client) Flushes() (flushes, frames uint64) {
+	return c.fc.flushes.Load(), c.fc.frames.Load()
+}
 
 // OpenOption configures one Open call.
 type OpenOption func(*openConfig)

@@ -16,7 +16,7 @@ import (
 	"auditreg/store"
 )
 
-func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
+func startServer(t testing.TB, cfg server.Config) (*server.Server, string) {
 	t.Helper()
 	if cfg.PoolInterval == 0 {
 		cfg.PoolInterval = time.Millisecond

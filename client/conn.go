@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,7 +78,8 @@ type conn struct {
 	reqTimeout time.Duration // per-request deadline; 0 disables enforcement
 
 	writec chan *wire.Buf
-	wquit  chan struct{} // closed by close(); stops the writer
+	wquit  chan struct{}  // closed by close(); stops the writer
+	fc     *flushCounters // the owning Client's, shared across redials
 
 	nextID atomic.Uint64
 
@@ -111,7 +113,15 @@ type resp struct {
 // returned.
 var respChans = sync.Pool{New: func() any { return make(chan resp, 1) }}
 
-func dialConn(addr string, timeout, reqTimeout time.Duration, dial Dialer, node uint32) (*conn, error) {
+// flushCounters count the writev flushes of a Client's connections and the
+// request frames they carried; frames over flushes is the writer's
+// coalescing factor (Client.Flushes).
+type flushCounters struct {
+	flushes atomic.Uint64
+	frames  atomic.Uint64
+}
+
+func dialConn(addr string, timeout, reqTimeout time.Duration, dial Dialer, node uint32, fc *flushCounters) (*conn, error) {
 	nc, err := dial(addr, timeout)
 	if err != nil {
 		return nil, &NodeError{Addr: addr, Err: err}
@@ -123,6 +133,7 @@ func dialConn(addr string, timeout, reqTimeout time.Duration, dial Dialer, node 
 		reqTimeout: reqTimeout,
 		writec:     make(chan *wire.Buf, connWriteQueue),
 		wquit:      make(chan struct{}),
+		fc:         fc,
 		inflight:   make(map[uint64]chan resp),
 		opened:     make(map[string]wire.OpenResp),
 	}
@@ -135,6 +146,13 @@ func dialConn(addr string, timeout, reqTimeout time.Duration, dial Dialer, node 
 // per wakeup and recycles their buffers; a write failure kills the
 // connection. It keeps draining (and recycling) queued frames after death so
 // senders never block on a full queue.
+//
+// The writer yields once between its first frame and the drain. A caller's
+// send readies the parked writer into the caller's own run slot, so without
+// the yield the writer runs before the other runnable callers (and a
+// cluster's fan-out goroutines) have queued theirs, and flushes one frame
+// per syscall. After the yield they enqueue first and one writev carries
+// them all. The server's writer does not yield (server/conn.go).
 func (cn *conn) writeLoop() {
 	var pend []*wire.Buf
 	var fl wire.Flusher
@@ -146,6 +164,7 @@ func (cn *conn) writeLoop() {
 			cn.recycleQueued()
 			return
 		}
+		runtime.Gosched()
 		pend = append(pend[:0], first)
 	collect:
 		for {
@@ -162,6 +181,8 @@ func (cn *conn) writeLoop() {
 			// behind it) forever.
 			cn.nc.SetWriteDeadline(time.Now().Add(cn.reqTimeout))
 		}
+		cn.fc.frames.Add(uint64(len(pend)))
+		cn.fc.flushes.Add(1)
 		if err := fl.Flush(cn.nc, pend); err != nil {
 			cause := fmt.Errorf("%w: write failed: %v", ErrConnLost, err)
 			var ne net.Error

@@ -257,11 +257,11 @@ func (a *Auditor) auditOnce(fresh bool) (store.ObjectAudit[uint64], error) {
 	}
 	// Unmask each row's reader set — the only place outside the server
 	// where reader sets exist in the clear, and it requires the key.
+	wire.XORAuditMasks(o.c.key, &resp)
 	var entries []auditreg.Entry[uint64]
-	for i, row := range resp.Rows {
-		readers := row.Readers ^ wire.AuditMask(o.c.key, resp.Nonce, i)
+	for _, row := range resp.Rows {
 		for j := 0; j < 64; j++ {
-			if readers&(1<<uint(j)) != 0 {
+			if row.Readers&(1<<uint(j)) != 0 {
 				entries = append(entries, auditreg.Entry[uint64]{Reader: j, Value: row.Value})
 			}
 		}

@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"auditreg/client"
 	"auditreg/cluster"
 	"auditreg/server"
+	"auditreg/store"
+	"auditreg/wire"
 )
 
 // testCluster is an in-process cluster: n auditd servers booted with their
@@ -86,6 +89,53 @@ func dialCluster(t *testing.T, tc *testCluster) *cluster.Client {
 	}
 	t.Cleanup(func() { cc.Close() })
 	return cc
+}
+
+// awaitQuiet waits until every node holds wid as the resident wid of the
+// named object, as its wid-0 ShareWrite probe reports, and has served
+// exactly fetches share fetches (silent ones included; the test's one object
+// is the only one read). Writes and reads both return once n−f nodes
+// answered; the last node's share or fetch lands in the background. Until
+// it does, a lagging node serves the previous wid to the next read, or
+// executes a stale read after the next write. Tests that assert a quiet
+// state call this before they read or assert, and fail if the cluster has
+// not settled within 10 s.
+func awaitQuiet(t *testing.T, tc *testCluster, name string, wid, fetches uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for i, nd := range tc.m.Nodes {
+		cl, err := client.Dial(nd.Addr, client.WithNode(nd.ID), client.WithConns(1))
+		if err != nil {
+			t.Fatalf("dial node %d: %v", i+1, err)
+		}
+		obj, err := cl.Open(name, store.MaxRegister)
+		if err != nil {
+			cl.Close()
+			t.Fatalf("open %q on node %d: %v", name, i+1, err)
+		}
+		for {
+			cur, err := obj.ShareWrite(0, 0, tc.m.ShareLen())
+			var served uint64
+			if err == nil {
+				var pairs []wire.StatPair
+				pairs, err = cl.Stats()
+				for _, p := range pairs {
+					if p.Name == "share-fetches" || p.Name == "share-silent" {
+						served += p.Value
+					}
+				}
+			}
+			if err == nil && cur == wid && served == fetches {
+				break
+			}
+			if time.Now().After(deadline) {
+				cl.Close()
+				t.Fatalf("node %d reports wid %d and %d fetches (err %v), want wid %d and %d fetches", i+1, cur, served, err, wid, fetches)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cl.Close()
+	}
 }
 
 // TestWriteReadRoundTrip drives the basic dispersed register: the initial
@@ -214,6 +264,10 @@ func TestAuditMergeExact(t *testing.T) {
 		reader int
 		value  uint64
 	}
+	// Every op starts after all n nodes finished the previous one: a read
+	// that overlapped a lagging share would charge the previous value on
+	// one node only, below the merge's decision threshold.
+	var wid, reads uint64
 	observed := make(map[pair]bool)
 	read := func(r int) {
 		v, err := obj.Read(r)
@@ -223,21 +277,24 @@ func TestAuditMergeExact(t *testing.T) {
 		if v != 0 {
 			observed[pair{r, v}] = true
 		}
+		reads++
+		awaitQuiet(t, tc, "ledger", wid, reads)
+	}
+	write := func(v uint64) {
+		if err := obj.Write(v); err != nil {
+			t.Fatal(err)
+		}
+		wid++
+		awaitQuiet(t, tc, "ledger", wid, reads)
 	}
 
-	if err := obj.Write(0x1111); err != nil {
-		t.Fatal(err)
-	}
+	write(0x1111)
 	read(0)
 	read(1)
-	if err := obj.Write(0x2222); err != nil {
-		t.Fatal(err)
-	}
+	write(0x2222)
 	read(1)
 	read(2)
-	if err := obj.Write(0x3333); err != nil {
-		t.Fatal(err)
-	}
+	write(0x3333)
 	read(0)
 	// Reader 3 never reads; reader 1 saw two values.
 
@@ -314,6 +371,7 @@ func TestNodeStats(t *testing.T) {
 	if err := obj.Write(7); err != nil {
 		t.Fatal(err)
 	}
+	awaitQuiet(t, tc, "obj", 1, 0) // the write acks at n−f; all n must hold it
 	stats, err := cc.NodeStats()
 	if err != nil {
 		t.Fatalf("NodeStats: %v", err)

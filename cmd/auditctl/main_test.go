@@ -100,6 +100,32 @@ func TestRunSuspect(t *testing.T) {
 	if v, err := obj.Read(0); err != nil || v != 77 {
 		t.Fatalf("Read = %d, %v; want 77, nil", v, err)
 	}
+	// The read returns once n−f nodes answered; wait until the last node,
+	// which may be the corruptor, has served its fetch too.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		stats, err := cc.NodeStats()
+		if err != nil {
+			t.Fatalf("NodeStats: %v", err)
+		}
+		served := 0
+		for _, ns := range stats {
+			var fetches uint64
+			for _, p := range ns.Resp.Pairs {
+				if p.Name == "share-fetches" || p.Name == "share-silent" {
+					fetches += p.Value
+				}
+			}
+			if ns.Err == nil && fetches > 0 {
+				served++
+			}
+		}
+		if served == len(stats) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d nodes served the read's fetch", served, len(stats))
+		}
+	}
 
 	code, out := runCtl(t, "-nodes", nodes, "-f", "1", "-seed", fmt.Sprint(seed))
 	if code != exitSuspect {

@@ -164,6 +164,14 @@ func (c *conn) emit(out *wire.Buf) {
 // writeLoop coalesces queued response frames into one scatter-gather flush
 // per wakeup — a single writev however many frames are pending — recycles
 // their buffers, and closes the socket once the reader is done.
+//
+// Unlike the client's writer it does not yield before the drain. Responses
+// already arrive in bursts (an executor answers its queue back to back:
+// about 3.2 frames per flush on cluster-n5-mixed, 3.7 on
+// auditd-durable-write), and a yield here holds every response behind the
+// executors. Added on top of the client's yield, on a 2-vCPU box over 4
+// seeds, it raised cluster-n5-mixed audit p50 by 2–22% and read and write
+// p99 by 4–29%, with no steady CPU saving.
 func (c *conn) writeLoop() {
 	defer close(c.wdone)
 	var pend []*wire.Buf
@@ -479,9 +487,7 @@ func (c *conn) handleAudit(body, dst []byte) ([]byte, wire.Verb) {
 	// Mask every row's reader set under a fresh audit pad; only auditor
 	// clients — key holders — can unmask. No decrypted reader set is ever
 	// placed in a frame.
-	for i := range resp.Rows {
-		resp.Rows[i].Readers ^= wire.AuditMask(c.srv.cfg.Key, resp.Nonce, i)
-	}
+	wire.XORAuditMasks(c.srv.cfg.Key, &resp)
 	c.srv.audits.Add(1)
 	return resp.Append(dst), wire.VerbAudit
 }

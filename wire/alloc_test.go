@@ -104,6 +104,18 @@ func TestMasksAllocationFree(t *testing.T) {
 	}
 }
 
+// TestAuditMasksAllocationFree pins the in-place audit masking of a whole
+// response at zero allocations: the server runs it on every AUDIT.
+func TestAuditMasksAllocationFree(t *testing.T) {
+	var key [32]byte
+	resp := AuditResp{Rows: make([]AuditRow, 9)}
+	if n := testing.AllocsPerRun(1000, func() {
+		XORAuditMasks(key, &resp)
+	}); n != 0 {
+		t.Fatalf("audit masking allocated %v times per run", n)
+	}
+}
+
 // TestScannerAllocationFree pins a warmed FrameScanner at zero allocations
 // per frame: the read buffer is reused, frames are views.
 func TestScannerAllocationFree(t *testing.T) {

@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -199,4 +200,51 @@ func TestMasksAreDeterministicAndDistinct(t *testing.T) {
 	var nonce2 [wire.NonceLen]byte
 	nonce2[0] = 9
 	put("audit-nonce", wire.AuditMask(key, nonce2, 5))
+}
+
+// TestXORAuditMasksMatchesAuditMask checks the block helper row by row
+// against AuditMask, across block edges, and that applying it twice
+// restores the rows.
+func TestXORAuditMasksMatchesAuditMask(t *testing.T) {
+	var key [32]byte
+	key[3] = 7
+	var nonce [wire.NonceLen]byte
+	nonce[1] = 5
+	for _, n := range []int{0, 1, 3, 4, 5, 9} {
+		resp := wire.AuditResp{Nonce: nonce, Rows: make([]wire.AuditRow, n)}
+		for i := range resp.Rows {
+			resp.Rows[i] = wire.AuditRow{Value: uint64(i), Readers: uint64(i) * 0x9E3779B97F4A7C15}
+		}
+		orig := append([]wire.AuditRow(nil), resp.Rows...)
+		wire.XORAuditMasks(key, &resp)
+		for i, row := range resp.Rows {
+			if row.Value != orig[i].Value {
+				t.Fatalf("%d rows: row %d value changed", n, i)
+			}
+			if want := orig[i].Readers ^ wire.AuditMask(key, nonce, i); row.Readers != want {
+				t.Fatalf("%d rows: row %d readers = %#x, want %#x", n, i, row.Readers, want)
+			}
+		}
+		wire.XORAuditMasks(key, &resp)
+		for i, row := range resp.Rows {
+			if row != orig[i] {
+				t.Fatalf("%d rows: row %d not restored by a second XOR", n, i)
+			}
+		}
+	}
+}
+
+// BenchmarkAuditMasks measures masking one AUDIT response in place, per
+// row count: one digest per four rows.
+func BenchmarkAuditMasks(b *testing.B) {
+	var key [32]byte
+	for _, rows := range []int{1, 4, 64} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			resp := wire.AuditResp{Rows: make([]wire.AuditRow, rows)}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				wire.XORAuditMasks(key, &resp)
+			}
+		})
+	}
 }

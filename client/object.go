@@ -220,21 +220,50 @@ type Auditor struct {
 // Audit requests a fresh audit — a report covering everything linearized
 // before the server handled the request — and unmasks its reader sets
 // locally with the store key. The report is cumulative, as audits are.
-func (a *Auditor) Audit() (store.ObjectAudit[uint64], error) { return a.audit(true) }
+func (a *Auditor) Audit() (store.ObjectAudit[uint64], error) { return a.report(true) }
 
 // Latest returns the server audit pool's most recently published report for
 // the object: the cheap path, possibly slightly stale, never contending
 // with writers.
-func (a *Auditor) Latest() (store.ObjectAudit[uint64], error) { return a.audit(false) }
+func (a *Auditor) Latest() (store.ObjectAudit[uint64], error) { return a.report(false) }
 
-func (a *Auditor) audit(fresh bool) (store.ObjectAudit[uint64], error) {
-	t0 := telem.Now()
-	aud, err := a.auditOnce(fresh)
-	a.o.c.rtt.Observe(uint64(t0), telem.Now()-t0)
-	return aud, err
+// AuditRows requests a fresh audit, as Audit does, and returns its rows
+// unmasked: one row per audited value, Readers the bitmask of the readers
+// that effectively read it. It is the raw form of Audit's report, for
+// callers that merge audits by value (the cluster audit merge) and have no
+// use for a per-(reader, value) expansion.
+func (a *Auditor) AuditRows() ([]wire.AuditRow, error) { return a.rows(true) }
+
+// report expands rows(fresh) into a report.
+func (a *Auditor) report(fresh bool) (store.ObjectAudit[uint64], error) {
+	rows, err := a.rows(fresh)
+	if err != nil {
+		return store.ObjectAudit[uint64]{}, err
+	}
+	var entries []auditreg.Entry[uint64]
+	for _, row := range rows {
+		for j := 0; j < 64; j++ {
+			if row.Readers&(1<<uint(j)) != 0 {
+				entries = append(entries, auditreg.Entry[uint64]{Reader: j, Value: row.Value})
+			}
+		}
+	}
+	return store.ObjectAudit[uint64]{
+		Object: a.o.name,
+		Kind:   a.o.kind,
+		Report: auditreg.NewReport(entries...),
+	}, nil
 }
 
-func (a *Auditor) auditOnce(fresh bool) (store.ObjectAudit[uint64], error) {
+// rows is the one audit round trip: request, retry when shed, unmask.
+func (a *Auditor) rows(fresh bool) ([]wire.AuditRow, error) {
+	t0 := telem.Now()
+	rows, err := a.rowsOnce(fresh)
+	a.o.c.rtt.Observe(uint64(t0), telem.Now()-t0)
+	return rows, err
+}
+
+func (a *Auditor) rowsOnce(fresh bool) ([]wire.AuditRow, error) {
 	o := a.o
 	var resp wire.AuditResp
 	err := retryBusy(func() error {
@@ -253,22 +282,10 @@ func (a *Auditor) auditOnce(fresh bool) (store.ObjectAudit[uint64], error) {
 		return err
 	})
 	if err != nil {
-		return store.ObjectAudit[uint64]{}, err
+		return nil, err
 	}
 	// Unmask each row's reader set — the only place outside the server
 	// where reader sets exist in the clear, and it requires the key.
 	wire.XORAuditMasks(o.c.key, &resp)
-	var entries []auditreg.Entry[uint64]
-	for _, row := range resp.Rows {
-		for j := 0; j < 64; j++ {
-			if row.Readers&(1<<uint(j)) != 0 {
-				entries = append(entries, auditreg.Entry[uint64]{Reader: j, Value: row.Value})
-			}
-		}
-	}
-	return store.ObjectAudit[uint64]{
-		Object: o.name,
-		Kind:   o.kind,
-		Report: auditreg.NewReport(entries...),
-	}, nil
+	return resp.Rows, nil
 }

@@ -199,6 +199,8 @@ type Object struct {
 	wid    uint64 // newest wid this writer installed or observed
 
 	rmu []sync.Mutex // per-reader serialization of ReadTraced
+
+	decoded decodedWrites // writes the audit merge has decoded (cluster/audit.go)
 }
 
 // Name returns the object's name.

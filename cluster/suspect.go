@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"sort"
 	"sync"
@@ -98,11 +99,17 @@ func (s *suspectSet) trusted(shares map[int][]byte, need int) map[int][]byte {
 type Counters struct {
 	// VerifiedDecodes counts reconstructions that ran with surplus shares —
 	// every one was consistency-checked against a re-encode before its value
-	// was accepted (invariant: verified-decode-when-surplus).
+	// was accepted (invariant: verified-decode-when-surplus). Reads count
+	// one each. An audit merge counts one only for a (reader, wid) pair it
+	// cannot charge from its decoded-writes table — on an honest cluster,
+	// about one per write new since the last audit.
 	VerifiedDecodes uint64
-	// ConsensusDecodes counts decodes that could not take the clean fast
-	// path (some share disagreed) and were resolved by the quorum-support
-	// search instead.
+	// ConsensusDecodes counts quorum-support searches: decodes that could
+	// not take the clean fast path (some share disagreed, or too few
+	// trusted shares to prove a read clean) and held at least q = k+f
+	// shares. A decode with fewer shares is inconclusive without a search,
+	// since no candidate could gather q supporters, and is not counted; on
+	// an honest cluster the counter stays zero.
 	ConsensusDecodes uint64
 	// CorruptShares counts individual shares that disagreed with an accepted
 	// decode, summed over reads and audit merges. One persistently
@@ -207,6 +214,12 @@ func (o *Object) decodeShares(shares map[int][]byte, strict bool) (v uint64, cor
 		}
 	}
 	if data == nil {
+		// Fewer than q shares cannot give any candidate q supporters: a
+		// read that resolved at exactly k shares (it raced a write) would
+		// only search in vain. Inconclusive, with no search to count.
+		if len(shares) < q {
+			return 0, nil, errInconclusive
+		}
 		o.c.ctr.consensusDecodes.Add(1)
 		data = o.consensusDecode(shares, q)
 		if data == nil {
@@ -308,6 +321,13 @@ func shareEqual(a, b []byte) bool {
 		}
 	}
 	return true
+}
+
+// beBytes is beUint's inverse for 8-byte values.
+func beBytes(v uint64) []byte {
+	b := make([]byte, 8)
+	binary.BigEndian.PutUint64(b, v)
+	return b
 }
 
 // beUint folds big-endian bytes into a uint64.
